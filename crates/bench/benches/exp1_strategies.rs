@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ssdm_bench::workload::{standard_patterns, QueryGenerator};
-use ssdm_storage::{spd::SpdOptions, ArrayStore, RelChunkStore, RetrievalStrategy};
+use ssdm_storage::{spd::SpdOptions, ArrayStore, ParallelConfig, RelChunkStore, RetrievalStrategy};
 
 fn bench_strategies(c: &mut Criterion) {
     let (rows, cols) = (128, 128);
@@ -30,7 +30,11 @@ fn bench_strategies(c: &mut Criterion) {
                 let mut gen = QueryGenerator::new(rows, cols, 17);
                 b.iter(|| {
                     let proxy = gen.instance(&base, pattern);
-                    std::hint::black_box(store.resolve(&proxy, strategy).expect("resolve"))
+                    std::hint::black_box(
+                        store
+                            .resolve(&proxy, strategy, ParallelConfig::SEQUENTIAL)
+                            .expect("resolve"),
+                    )
                 });
             });
         }

@@ -29,7 +29,8 @@ use ssdm_array::{AggregateOp, Num, NumArray, NumericType};
 use ssdm_bench::runner::print_table;
 use ssdm_storage::codec::{decode_chunk, encode_chunk};
 use ssdm_storage::{
-    ArrayStore, CodecPolicy, RelChunkStore, RetrievalStrategy, ValuePredicate, SCC_HEADER,
+    ArrayStore, CodecPolicy, ParallelConfig, RelChunkStore, RetrievalStrategy, ValuePredicate,
+    SCC_HEADER,
 };
 
 const CHUNK_BYTES: usize = 64 * 1024;
@@ -192,14 +193,26 @@ fn main() {
     store.set_skip_enabled(false);
     let (off_ms, off_sum) = best_of(agg_repeats, || {
         store
-            .resolve_aggregate_filtered(&proxy, &pred, AggregateOp::Sum, strategy)
+            .resolve_aggregate_filtered(
+                &proxy,
+                &pred,
+                AggregateOp::Sum,
+                strategy,
+                ParallelConfig::SEQUENTIAL,
+            )
             .expect("filtered aggregate")
     });
     let off_stats = store.last_stats();
     store.set_skip_enabled(true);
     let (on_ms, on_sum) = best_of(agg_repeats, || {
         store
-            .resolve_aggregate_filtered(&proxy, &pred, AggregateOp::Sum, strategy)
+            .resolve_aggregate_filtered(
+                &proxy,
+                &pred,
+                AggregateOp::Sum,
+                strategy,
+                ParallelConfig::SEQUENTIAL,
+            )
             .expect("filtered aggregate")
     });
     let on_stats = store.last_stats();

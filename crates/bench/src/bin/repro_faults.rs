@@ -17,7 +17,7 @@ use ssdm_bench::runner::print_table;
 use ssdm_bench::workload::{AccessPattern, QueryGenerator};
 use ssdm_storage::spd::SpdOptions;
 use ssdm_storage::{
-    ArrayStore, ChunkStore, FaultInjectingChunkStore, FaultPlan, MemoryChunkStore,
+    ArrayStore, ChunkStore, FaultInjectingChunkStore, FaultPlan, MemoryChunkStore, ParallelConfig,
     ResilientChunkStore, RetrievalStrategy, RetryPolicy,
 };
 
@@ -63,7 +63,7 @@ fn run<S: ChunkStore>(store: &mut ArrayStore<S>, expected: &[Vec<f64>]) -> Outco
     let pats = patterns();
     for i in 0..QUERIES {
         let view = gen.instance(&base, pats[i % pats.len()]);
-        if let Ok(a) = store.resolve(&view, strategy) {
+        if let Ok(a) = store.resolve(&view, strategy, ParallelConfig::SEQUENTIAL) {
             let got: Vec<f64> = a.elements().iter().map(|n| n.as_f64()).collect();
             if got == expected[i] {
                 out.succeeded += 1;
@@ -105,6 +105,7 @@ fn main() {
                         RetrievalStrategy::SpdRange {
                             options: SpdOptions::default(),
                         },
+                        ParallelConfig::SEQUENTIAL,
                     )
                     .expect("fault-free resolve")
                     .elements()

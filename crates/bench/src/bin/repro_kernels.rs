@@ -7,13 +7,13 @@
 //!    per-element `Num` reference path (`zip_with_ref` /
 //!    `scalar_op_ref`). Required: **≥4×** on at least the headline
 //!    array⊗array ops; results checked bit-identical.
-//! 2. **streamed aggregates** — `resolve_aggregate_parallel` over an
+//! 2. **streamed aggregates** — `resolve_aggregate` with N workers over an
 //!    externalized matrix behind the latency-simulated relational
 //!    back-end (`networked_dbms`: 500 µs per statement, round trips
 //!    dominate). Fetch workers fold each chunk's partial in place and
 //!    the partials combine in plan order. Required: **≥2×** at 4
-//!    workers vs the sequential `resolve_aggregate` baseline; every
-//!    result checked bit-identical to the sequential fold.
+//!    workers vs the one-worker `resolve_aggregate` baseline; every
+//!    result checked bit-identical to the one-worker fold.
 //!
 //! Measurements land as JSON (default `BENCH_kernels.json`, `--out`).
 //!
@@ -202,7 +202,13 @@ fn main() {
     let strategy = RetrievalStrategy::Single;
     let expected: Vec<(bool, u64)> = agg_ops
         .iter()
-        .map(|&op| num_bits(&store.resolve_aggregate(&base, op, strategy).expect("seq")))
+        .map(|&op| {
+            num_bits(
+                &store
+                    .resolve_aggregate(&base, op, strategy, ParallelConfig::SEQUENTIAL)
+                    .expect("seq"),
+            )
+        })
         .collect();
 
     let mut agg_cells: Vec<AggCell> = Vec::new();
@@ -216,7 +222,7 @@ fn main() {
                 .map(|&op| {
                     num_bits(
                         &store
-                            .resolve_aggregate_parallel(&base, op, strategy, config)
+                            .resolve_aggregate(&base, op, strategy, config)
                             .expect("parallel aggregate"),
                     )
                 })

@@ -26,7 +26,8 @@ use relstore::{Db, DbOptions, LatencyModel};
 use ssdm_bench::runner::print_table;
 use ssdm_bench::workload::{AccessPattern, QueryGenerator};
 use ssdm_storage::{
-    ArrayStore, CachedChunkStore, ChunkStore, MemoryChunkStore, RelChunkStore, RetrievalStrategy,
+    ArrayStore, CachedChunkStore, ChunkStore, MemoryChunkStore, ParallelConfig, RelChunkStore,
+    RetrievalStrategy,
 };
 
 const ROWS: usize = 128;
@@ -47,7 +48,7 @@ fn run_batch<S: ChunkStore>(store: &mut ArrayStore<S>, views: &[ssdm_storage::Ar
     for v in views {
         std::hint::black_box(
             store
-                .resolve(v, RetrievalStrategy::Single)
+                .resolve(v, RetrievalStrategy::Single, ParallelConfig::SEQUENTIAL)
                 .expect("resolve"),
         );
     }

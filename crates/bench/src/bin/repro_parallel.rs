@@ -132,7 +132,7 @@ fn main() {
             .map(|v| {
                 bits(
                     &store
-                        .resolve(v, RetrievalStrategy::Single)
+                        .resolve(v, RetrievalStrategy::Single, ParallelConfig::SEQUENTIAL)
                         .expect("resolve"),
                 )
             })
@@ -152,12 +152,12 @@ fn main() {
             .map(|v| {
                 bits(
                     &store
-                        .resolve_parallel(
+                        .resolve(
                             v,
                             RetrievalStrategy::Single,
                             ParallelConfig::with_workers(w),
                         )
-                        .expect("resolve_parallel"),
+                        .expect("parallel resolve"),
                 )
             })
             .collect();
@@ -202,7 +202,7 @@ fn main() {
                 .map(|v| {
                     bits(
                         &store
-                            .resolve(v, RetrievalStrategy::Single)
+                            .resolve(v, RetrievalStrategy::Single, ParallelConfig::SEQUENTIAL)
                             .expect("resolve"),
                     )
                 })

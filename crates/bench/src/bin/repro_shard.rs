@@ -26,10 +26,7 @@ use std::time::Instant;
 use relstore::{Db, DbOptions, LatencyModel};
 use ssdm_bench::runner::print_table;
 use ssdm_storage::shard::place;
-use ssdm_storage::{
-    ChunkStore, MemoryChunkStore, RelChunkStore, ShardOptions, ShardedChunkStore, SharedChunkRead,
-    SharedChunkStore,
-};
+use ssdm_storage::{ChunkStore, MemoryChunkStore, RelChunkStore, ShardOptions, ShardedChunkStore};
 
 const ARRAY: u64 = 11;
 const CHUNK_BYTES: usize = 1024;
@@ -56,7 +53,7 @@ fn slow_model() -> LatencyModel {
     }
 }
 
-fn rel_primaries(shards: usize) -> Vec<Box<dyn SharedChunkStore>> {
+fn rel_primaries(shards: usize) -> Vec<Box<dyn ChunkStore>> {
     (0..shards)
         .map(|_| {
             let db = Db::open_memory(DbOptions {
@@ -64,22 +61,18 @@ fn rel_primaries(shards: usize) -> Vec<Box<dyn SharedChunkStore>> {
                 ..DbOptions::default()
             })
             .expect("in-memory relational store");
-            Box::new(RelChunkStore::new(db)) as Box<dyn SharedChunkStore>
+            Box::new(RelChunkStore::new(db)) as Box<dyn ChunkStore>
         })
         .collect()
 }
 
-fn mem_primaries(shards: usize) -> Vec<Box<dyn SharedChunkStore>> {
+fn mem_primaries(shards: usize) -> Vec<Box<dyn ChunkStore>> {
     (0..shards)
-        .map(|_| Box::new(MemoryChunkStore::new()) as Box<dyn SharedChunkStore>)
+        .map(|_| Box::new(MemoryChunkStore::new()) as Box<dyn ChunkStore>)
         .collect()
 }
 
-fn seeded(
-    primaries: Vec<Box<dyn SharedChunkStore>>,
-    replicas: usize,
-    chunks: u64,
-) -> ShardedChunkStore {
+fn seeded(primaries: Vec<Box<dyn ChunkStore>>, replicas: usize, chunks: u64) -> ShardedChunkStore {
     let shards = primaries.len();
     let mut store = ShardedChunkStore::new(
         primaries,
@@ -143,7 +136,7 @@ fn main() {
         let store = seeded(rel_primaries(shards), 0, chunks);
         let start = Instant::now();
         for _ in 0..queries {
-            let rows = store.read_chunks_in(ARRAY, &ids).expect("batched read");
+            let rows = store.get_chunks_in(ARRAY, &ids).expect("batched read");
             check(&rows, &ids);
         }
         let per_query_ms = start.elapsed().as_secs_f64() * 1e3 / queries as f64;
@@ -180,11 +173,11 @@ fn main() {
         let store = seeded(rel_primaries(2), replicas, chunks);
         // One untimed pass ships the WAL and catches replicas up, so the
         // timed passes measure steady-state routing.
-        check(&store.read_chunks_in(ARRAY, &ids).expect("warm-up"), &ids);
+        check(&store.get_chunks_in(ARRAY, &ids).expect("warm-up"), &ids);
         let warm_stats = store.stats();
         let start = Instant::now();
         for _ in 0..queries {
-            let rows = store.read_chunks_in(ARRAY, &ids).expect("batched read");
+            let rows = store.get_chunks_in(ARRAY, &ids).expect("batched read");
             check(&rows, &ids);
         }
         let per_query_ms = start.elapsed().as_secs_f64() * 1e3 / queries as f64;
@@ -225,12 +218,12 @@ fn main() {
             }
             for &c in &ids {
                 total_reads += 1;
-                match store.read_chunk(ARRAY, c) {
+                match store.get_chunk(ARRAY, c) {
                     Ok(data) => assert_eq!(data, payload(c), "chunk {c} bit-identical"),
                     Err(_) => failed_reads += 1,
                 }
             }
-            let rows = store.read_chunks_in(ARRAY, &ids).expect("batched read");
+            let rows = store.get_chunks_in(ARRAY, &ids).expect("batched read");
             total_reads += 1;
             check(&rows, &ids);
         }

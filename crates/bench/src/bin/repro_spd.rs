@@ -12,7 +12,7 @@ use ssdm_bench::fmt_ms;
 use ssdm_bench::runner::{print_table, run_pattern};
 use ssdm_bench::workload::{AccessPattern, QueryGenerator};
 use ssdm_storage::spd::{self, SpdOptions};
-use ssdm_storage::{ArrayStore, ChunkStore, RelChunkStore, RetrievalStrategy};
+use ssdm_storage::{ArrayStore, ChunkStore, ParallelConfig, RelChunkStore, RetrievalStrategy};
 
 fn main() {
     println!("Experiment 7: SPD effectiveness (thesis §6.2.5)");
@@ -161,6 +161,7 @@ fn main() {
                     RetrievalStrategy::SpdRange {
                         options: SpdOptions::default(),
                     },
+                    ParallelConfig::SEQUENTIAL,
                 )
                 .expect("resolve");
         }

@@ -2,7 +2,7 @@
 
 use std::time::Instant;
 
-use ssdm_storage::{ArrayProxy, ArrayStore, ChunkStore, RetrievalStrategy};
+use ssdm_storage::{ArrayProxy, ArrayStore, ChunkStore, ParallelConfig, RetrievalStrategy};
 
 use crate::workload::{AccessPattern, QueryGenerator};
 
@@ -45,7 +45,9 @@ pub fn run_pattern<S: ChunkStore>(
     let start = Instant::now();
     for _ in 0..queries {
         let proxy = generator.instance(base, pattern);
-        let resolved = store.resolve(&proxy, strategy).expect("resolve");
+        let resolved = store
+            .resolve(&proxy, strategy, ParallelConfig::SEQUENTIAL)
+            .expect("resolve");
         elements += resolved.element_count() as u64;
         std::hint::black_box(&resolved);
     }
@@ -78,7 +80,12 @@ pub fn run_pattern_aggregate<S: ChunkStore>(
         let proxy = generator.instance(base, pattern);
         elements += proxy.element_count() as u64;
         let agg = store
-            .resolve_aggregate(&proxy, ssdm_array::AggregateOp::Sum, strategy)
+            .resolve_aggregate(
+                &proxy,
+                ssdm_array::AggregateOp::Sum,
+                strategy,
+                ParallelConfig::SEQUENTIAL,
+            )
             .expect("aggregate");
         std::hint::black_box(agg);
     }

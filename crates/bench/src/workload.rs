@@ -128,7 +128,7 @@ pub fn standard_patterns() -> Vec<AccessPattern> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssdm_storage::{ArrayStore, MemoryChunkStore, RetrievalStrategy};
+    use ssdm_storage::{ArrayStore, MemoryChunkStore, ParallelConfig, RetrievalStrategy};
 
     #[test]
     fn instances_are_deterministic_per_seed() {
@@ -153,7 +153,11 @@ mod tests {
         for p in standard_patterns() {
             let proxy = gen.instance(&base, p);
             let got = store
-                .resolve(&proxy, RetrievalStrategy::WholeArray)
+                .resolve(
+                    &proxy,
+                    RetrievalStrategy::WholeArray,
+                    ParallelConfig::SEQUENTIAL,
+                )
                 .unwrap();
             // Check against the resident matrix through the same view.
             let want_addrs = proxy.view().addresses();

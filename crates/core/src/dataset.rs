@@ -12,7 +12,7 @@ use std::fmt;
 use ssdm_array::ArrayError;
 use ssdm_rdf::{Graph, Namespaces, RdfError, Term};
 use ssdm_storage::{
-    ArrayProxy, ArrayStore, MemoryChunkStore, ParallelConfig, RetrievalStrategy, SharedChunkStore,
+    ArrayProxy, ArrayStore, ChunkStore, MemoryChunkStore, ParallelConfig, RetrievalStrategy,
     StorageError,
 };
 
@@ -154,12 +154,10 @@ impl QueryResult {
 }
 
 /// A boxed back-end so one dataset type serves all storage choices.
-/// [`SharedChunkStore`] combines the mutating `ChunkStore` contract
-/// with the concurrent `SharedChunkRead` one, so the dataset's queries
-/// can take the parallel retrieval/aggregation pipelines; every shipped
-/// back-end (and the cache/resilience wrappers) qualifies. The trait
-/// impls for `Box<dyn SharedChunkStore>` live in `ssdm-storage`.
-pub type DynChunkStore = Box<dyn SharedChunkStore>;
+/// `ChunkStore` reads are `&self` and the trait is `Send + Sync`, so
+/// the dataset's queries can run APR with several workers on every
+/// shipped back-end (and the cache/resilience wrappers).
+pub type DynChunkStore = Box<dyn ChunkStore>;
 
 /// Default chunk size for externalized arrays (64 KiB, the sweet spot
 /// found in experiment E3).
@@ -552,9 +550,7 @@ impl Dataset {
     pub fn force_array(&mut self, v: &Value) -> Result<ssdm_array::NumArray, QueryError> {
         match v {
             Value::Term(Term::Array(a)) => Ok(a.clone()),
-            Value::Proxy(p) => Ok(self
-                .arrays
-                .resolve_parallel(p, self.strategy, self.parallel)?),
+            Value::Proxy(p) => Ok(self.arrays.resolve(p, self.strategy, self.parallel)?),
             other => Err(QueryError::Eval(format!("not an array: {other}"))),
         }
     }

@@ -352,10 +352,7 @@ fn array_aggregate(ds: &mut Dataset, args: &[Value], op: AggregateOp) -> EvalRes
         Value::Proxy(p) => {
             let strategy = ds.strategy;
             let parallel = ds.parallel;
-            match ds
-                .arrays
-                .resolve_aggregate_parallel(p, op, strategy, parallel)
-            {
+            match ds.arrays.resolve_aggregate(p, op, strategy, parallel) {
                 Ok(n) => Ok(Some(Value::number(n))),
                 Err(ssdm_storage::StorageError::Backend(_)) => Ok(None),
                 Err(e) => Err(e.into()),
@@ -394,7 +391,7 @@ fn array_aggregate_range(ds: &mut Dataset, args: &[Value], op: AggregateOp) -> E
             let parallel = ds.parallel;
             match ds
                 .arrays
-                .resolve_aggregate_filtered_parallel(p, &pred, op, strategy, parallel)
+                .resolve_aggregate_filtered(p, &pred, op, strategy, parallel)
             {
                 Ok(n) => Ok(Some(Value::number(n))),
                 Err(ssdm_storage::StorageError::Backend(_)) => Ok(None),
@@ -448,7 +445,7 @@ fn array_contains(ds: &mut Dataset, args: &[Value]) -> EvalResult {
         ))),
         Value::Proxy(p) => {
             let strategy = ds.strategy;
-            match ds.arrays.resolve_exists(p, &pred, strategy) {
+            match ds.arrays.resolve_exists(p, &pred, strategy, ds.parallel) {
                 Ok(found) => Ok(Some(Value::boolean(found))),
                 Err(ssdm_storage::StorageError::Backend(_)) => Ok(None),
                 Err(e) => Err(e.into()),

@@ -607,9 +607,8 @@ fn scan_triples(
                         Some(id) => positions[i] = Some(id),
                         None => match val {
                             Value::Term(Term::Array(a)) => content_checks.push((i, a.clone())),
-                            Value::Proxy(p) => {
-                                content_checks.push((i, ds.arrays.resolve(p, ds.strategy)?))
-                            }
+                            Value::Proxy(p) => content_checks
+                                .push((i, ds.arrays.resolve(p, ds.strategy, ds.parallel)?)),
                             _ => {
                                 dead = true;
                                 break;
@@ -636,7 +635,7 @@ fn scan_triples(
                         Term::Array(a) => a,
                         Term::ArrayRef(ext) => {
                             let proxy = ds.arrays.proxy(ext)?;
-                            ds.arrays.resolve(&proxy, ds.strategy)?
+                            ds.arrays.resolve(&proxy, ds.strategy, ds.parallel)?
                         }
                         _ => continue 'triple,
                     };

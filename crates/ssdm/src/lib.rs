@@ -43,7 +43,7 @@ use std::path::PathBuf;
 use scisparql::{Dataset, QueryError, QueryResult};
 use ssdm_storage::{
     CachedChunkStore, ChunkStore, FileChunkStore, MemoryChunkStore, RelChunkStore,
-    ShardedChunkStore, SharedChunkStore,
+    ShardedChunkStore,
 };
 
 pub use durability::{DurabilityStats, DurableOptions};
@@ -484,11 +484,11 @@ fn raw_store(backend: Backend) -> scisparql::dataset::DynChunkStore {
 /// replication state (WALs, replica segment copies) next to the data;
 /// volatile kinds use a private temp root removed on drop.
 fn sharded_store(backend: Backend, shards: usize, opts: ShardOptions) -> ShardedChunkStore {
-    let boxed = |s: Vec<_>| -> Vec<Box<dyn SharedChunkStore>> { s };
+    let boxed = |s: Vec<_>| -> Vec<Box<dyn ChunkStore>> { s };
     match backend {
         Backend::Memory => ShardedChunkStore::new(
             (0..shards)
-                .map(|_| Box::new(MemoryChunkStore::new()) as Box<dyn SharedChunkStore>)
+                .map(|_| Box::new(MemoryChunkStore::new()) as Box<dyn ChunkStore>)
                 .collect(),
             opts,
         ),
@@ -496,7 +496,7 @@ fn sharded_store(backend: Backend, shards: usize, opts: ShardOptions) -> Sharded
             (0..shards)
                 .map(|_| {
                     Box::new(RelChunkStore::open_memory().expect("in-memory store"))
-                        as Box<dyn SharedChunkStore>
+                        as Box<dyn ChunkStore>
                 })
                 .collect(),
             opts,
@@ -508,7 +508,7 @@ fn sharded_store(backend: Backend, shards: usize, opts: ShardOptions) -> Sharded
                         Box::new(
                             FileChunkStore::new(dir.join(format!("shard-{i}")))
                                 .expect("cannot create array directory"),
-                        ) as Box<dyn SharedChunkStore>
+                        ) as Box<dyn ChunkStore>
                     })
                     .collect(),
             ),
@@ -524,7 +524,7 @@ fn sharded_store(backend: Backend, shards: usize, opts: ShardOptions) -> Sharded
                             Box::new(
                                 RelChunkStore::create_file(&shard_path(i), options.clone())
                                     .expect("cannot create database file"),
-                            ) as Box<dyn SharedChunkStore>
+                            ) as Box<dyn ChunkStore>
                         })
                         .collect(),
                 ),

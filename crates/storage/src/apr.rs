@@ -10,6 +10,7 @@
 //! performed on the server" behaviour of the abstract.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use ssdm_array::{kernel, AggregateOp, ArrayData, LinearRuns, Num, NumArray, NumericType};
@@ -17,6 +18,7 @@ use ssdm_array::{kernel, AggregateOp, ArrayData, LinearRuns, Num, NumArray, Nume
 use crate::chunks::Chunking;
 use crate::codec::{self, ChunkSummary, CodecPolicy, ValuePredicate, ZoneMap};
 use crate::meta::{ArrayMeta, ArrayProxy};
+use crate::parallel::ParallelConfig;
 use crate::resilient::ResilienceStats;
 use crate::spd::{self, FetchOp, SpdOptions};
 use crate::store::{ChunkStore, IoStats, StorageError};
@@ -113,21 +115,30 @@ fn obs_chunks_decoded() -> &'static Arc<ssdm_obs::Counter> {
     C.get_or_init(|| ssdm_obs::recorder().counter("ssdm_chunks_decoded"))
 }
 
-/// Decode tallies of one resolution (chunk frames decompressed and the
-/// uncompressed bytes they produced).
+/// What one resolution tallied besides the back-end counters: batched
+/// statements that fell back to per-chunk reads, and the chunk frames
+/// decompressed with the uncompressed bytes they produced.
 #[derive(Debug, Default, Clone, Copy)]
-struct DecodeTally {
-    chunks: u64,
-    bytes: u64,
+pub(crate) struct ExecTally {
+    pub(crate) fallbacks: u64,
+    pub(crate) chunks_decoded: u64,
+    pub(crate) bytes_decoded: u64,
 }
 
-impl DecodeTally {
-    fn note(&mut self, decoded_bytes: u64) {
+impl ExecTally {
+    pub(crate) fn note_decode(&mut self, decoded_bytes: u64) {
         if decoded_bytes > 0 {
-            self.chunks += 1;
-            self.bytes += decoded_bytes;
+            self.chunks_decoded += 1;
+            self.bytes_decoded += decoded_bytes;
         }
     }
+}
+
+/// Back-end counters at the start of one resolution: the stats bracket
+/// every resolve closes with `ArrayStore::finish_stats`.
+pub(crate) struct StatsMark {
+    io: IoStats,
+    res: ResilienceStats,
 }
 
 /// Decode a fetched payload back to raw little-endian elements when the
@@ -161,10 +172,9 @@ pub(crate) fn decode_payload(
     }
 }
 
-/// Process-wide chunk-fetch latency histogram. Sequential fetch ops
-/// ([`ArrayStore::execute`]) and parallel workers
-/// ([`crate::parallel::fetch_plan`]) both time each back-end statement
-/// into it.
+/// Process-wide chunk-fetch latency histogram. Every fetch op the
+/// pipeline in [`crate::parallel`] executes times its back-end
+/// statement into it.
 pub(crate) fn obs_chunk_fetch_hist() -> &'static Arc<ssdm_obs::Histogram> {
     static H: OnceLock<Arc<ssdm_obs::Histogram>> = OnceLock::new();
     H.get_or_init(|| ssdm_obs::recorder().histogram("ssdm_chunk_fetch_seconds"))
@@ -332,411 +342,334 @@ impl<S: ChunkStore> ArrayStore<S> {
     }
 
     /// Resolve a proxy to a resident array (the APR operator).
-    pub fn resolve(&mut self, proxy: &ArrayProxy, strategy: RetrievalStrategy) -> Result<NumArray> {
-        let before = self.backend.io_stats();
-        let before_res = self.backend.resilience_stats();
-        let meta = proxy.meta();
-        let chunking = meta.chunking;
-        let addresses = proxy.view().addresses();
-        let needed = needed_chunks(proxy, &chunking);
-        let mut fallbacks = 0u64;
-        let mut decoded = DecodeTally::default();
-        let chunks = self.fetch(
-            meta,
-            &chunking,
-            &needed,
-            strategy,
-            &mut fallbacks,
-            &mut decoded,
-        )?;
-        let nums = gather(
-            &chunks,
-            &chunking,
-            meta.numeric_type,
-            &addresses,
-            meta.array_id,
-        )?;
-        self.finish_stats(before, before_res, fallbacks, addresses.len(), 0, decoded);
-        let data = match meta.numeric_type {
-            NumericType::Int => ArrayData::from_i64(nums.iter().map(|n| n.as_i64()).collect()),
-            NumericType::Real => ArrayData::from_f64(nums.iter().map(|n| n.as_f64()).collect()),
-        };
-        Ok(NumArray::from_data(data, &proxy.shape())?)
-    }
-
-    /// Resolve a proxy with the fetch plan partitioned across a worker
-    /// pool (the parallel retrieval pipeline, [`crate::parallel`]).
     ///
-    /// The result is bit-identical to [`resolve`](Self::resolve) with
-    /// the same strategy — the same statements execute, concurrently —
-    /// and [`last_stats`](Self::last_stats) stays exact. When the
-    /// back-end does not tolerate shared reads
-    /// ([`Capabilities::supports_parallel`] is false) or `config`
-    /// requests at most one worker, this *is* the sequential path.
-    ///
-    /// [`Capabilities::supports_parallel`]: crate::Capabilities::supports_parallel
-    pub fn resolve_parallel(
+    /// The fetch plan runs on the APR executor with `config.workers`
+    /// (see [`crate::parallel`]); the result is bit-identical and
+    /// [`last_stats`](Self::last_stats) exact for every worker count,
+    /// because the same statements execute and the elements are
+    /// gathered in view order either way.
+    pub fn resolve(
         &mut self,
         proxy: &ArrayProxy,
         strategy: RetrievalStrategy,
-        config: crate::ParallelConfig,
-    ) -> Result<NumArray>
-    where
-        S: crate::SharedChunkRead,
-    {
-        if config.workers <= 1 || !self.backend.capabilities().supports_parallel {
-            return self.resolve(proxy, strategy);
-        }
-        let before = self.backend.io_stats();
-        let before_res = self.backend.resilience_stats();
+        config: ParallelConfig,
+    ) -> Result<NumArray> {
+        let mark = self.mark();
         let meta = proxy.meta();
-        let chunking = meta.chunking;
         let addresses = proxy.view().addresses();
-        let needed = needed_chunks(proxy, &chunking);
-        let plan = make_plan(&needed, &chunking, strategy);
-        let (encoded, array_id) = (meta.encoded, meta.array_id);
-        let dec_chunks = std::sync::atomic::AtomicU64::new(0);
-        let dec_bytes = std::sync::atomic::AtomicU64::new(0);
-        // Decode inside the fetching worker (via `run_plan`'s `process`
-        // hook), so decompression overlaps the round trips of the other
-        // ops exactly like CRC verification does.
-        let (per_op, fallbacks) = crate::parallel::run_plan(
-            &self.backend,
-            array_id,
-            &plan,
-            &needed,
-            config.workers,
-            |_, rows| {
-                let mut out = Vec::with_capacity(rows.len());
-                for (cid, payload) in rows {
-                    let (raw, bytes) = decode_payload(encoded, payload, array_id, cid)?;
-                    if bytes > 0 {
-                        dec_chunks.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        dec_bytes.fetch_add(bytes, std::sync::atomic::Ordering::Relaxed);
-                    }
-                    out.push((cid, raw));
-                }
-                Ok(out)
-            },
-        )?;
-        let mut chunks = HashMap::with_capacity(needed.len());
-        for rows in per_op {
-            for (cid, payload) in rows {
-                chunks.insert(cid, payload);
-            }
-        }
-        let nums = gather(
-            &chunks,
-            &chunking,
-            meta.numeric_type,
-            &addresses,
-            meta.array_id,
-        )?;
-        let decoded = DecodeTally {
-            chunks: dec_chunks.into_inner(),
-            bytes: dec_bytes.into_inner(),
-        };
-        self.finish_stats(before, before_res, fallbacks, addresses.len(), 0, decoded);
-        let data = match meta.numeric_type {
-            NumericType::Int => ArrayData::from_i64(nums.iter().map(|n| n.as_i64()).collect()),
-            NumericType::Real => ArrayData::from_f64(nums.iter().map(|n| n.as_f64()).collect()),
-        };
+        let needed = needed_chunks(proxy, &meta.chunking);
+        let (chunks, tally) = self.fetch(meta, &needed, strategy, config)?;
+        let data = gather(meta, &addresses, |c| chunks.get(&c).map(Vec::as_slice))?;
+        self.finish_stats(mark, tally, addresses.len(), 0);
         Ok(NumArray::from_data(data, &proxy.shape())?)
     }
 
-    /// Streamed aggregate over a proxy (the AAPR operator): chunks are
-    /// fetched batch-wise and folded immediately, so peak memory is one
-    /// batch regardless of the view size.
-    ///
-    /// Each chunk's needed elements are decoded densely and folded into
-    /// a *per-chunk partial* by the typed kernels
-    /// (`ssdm_array::kernel`), and partials are combined in plan order —
-    /// the exact same fold structure
-    /// [`resolve_aggregate_parallel`](Self::resolve_aggregate_parallel)
-    /// uses, so sequential and parallel AAPR are bit-identical by
-    /// construction for every strategy (`f64` sums follow the
+    /// Streamed aggregate over a proxy (the AAPR operator): each fetched
+    /// chunk's needed elements are folded into a *per-chunk partial* by
+    /// the typed kernels (`ssdm_array::kernel`) inside the worker that
+    /// fetched it, and the payload is dropped without central assembly,
+    /// so peak memory is one op's chunks regardless of the view size.
+    /// Partials combine in plan order, so the result is bit-identical
+    /// for every worker count and strategy (`f64` sums follow the
     /// documented pairwise order; see DESIGN.md).
     pub fn resolve_aggregate(
         &mut self,
         proxy: &ArrayProxy,
         op: AggregateOp,
         strategy: RetrievalStrategy,
+        config: ParallelConfig,
     ) -> Result<Num> {
-        let before = self.backend.io_stats();
-        let before_res = self.backend.resilience_stats();
-        let meta = proxy.meta();
-        let chunking = meta.chunking;
-        // Group needed addresses by chunk so each fetched chunk is
-        // consumed once and dropped.
-        let mut by_chunk: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        let mut count = 0u64;
-        proxy.view().for_each_address(|a| {
-            by_chunk.entry(chunking.chunk_of(a)).or_default().push(a);
-            count += 1;
-        });
-        if count == 0 {
-            self.finish_stats(before, before_res, 0, 0, 0, DecodeTally::default());
-            return match op {
-                AggregateOp::Count => Ok(Num::Int(0)),
-                AggregateOp::Sum => Ok(Num::Int(0)),
-                AggregateOp::Prod => Ok(Num::Int(1)),
-                _ => Err(StorageError::Backend(
-                    "aggregate over empty array view".into(),
-                )),
-            };
-        }
-        if op == AggregateOp::Count {
-            self.finish_stats(before, before_res, 0, 0, 0, DecodeTally::default());
-            return Ok(Num::Int(count as i64));
-        }
-        let needed: Vec<u64> = by_chunk.keys().copied().collect();
-        let plan = make_plan(&needed, &chunking, strategy);
-        let encoded = meta.encoded;
-        let mut acc: Option<Num> = None;
-        let mut n = 0u64;
-        let mut fallbacks = 0u64;
-        let mut decoded = DecodeTally::default();
-        for fetch_op in plan {
-            let rows =
-                self.execute_with_fallback(meta.array_id, &fetch_op, &needed, &mut fallbacks)?;
-            for (cid, payload) in rows {
-                let Some(addrs) = by_chunk.get(&cid) else {
-                    continue; // overfetched by a covering range
-                };
-                let (payload, bytes) = decode_payload(encoded, payload, meta.array_id, cid)?;
-                decoded.note(bytes);
-                let (chunk_start, _) = chunking.chunk_span(cid);
-                let (part, c) = chunk_partial(
-                    &payload,
-                    addrs,
-                    chunk_start,
-                    meta.numeric_type,
-                    op,
-                    meta.array_id,
-                    cid,
-                )?;
-                n += c;
-                acc = Some(match acc {
-                    None => part,
-                    Some(prev) => fold(op, prev, part)?,
-                });
-            }
-        }
-        self.finish_stats(before, before_res, fallbacks, n as usize, 0, decoded);
-        let total = acc.ok_or(StorageError::Backend("no elements resolved".into()))?;
-        Ok(match op {
-            AggregateOp::Avg => Num::Real(total.as_f64() / n as f64),
-            _ => total,
-        })
+        self.aggregate(proxy, None, op, strategy, config)
     }
 
-    /// Parallel AAPR: the fetch plan is partitioned across a scoped
-    /// worker pool and each worker decodes and folds its chunks into
-    /// per-chunk partial aggregates *in place* (via
-    /// [`crate::parallel::run_plan`]), dropping the payloads without
-    /// central assembly — fetch and compute overlap. Partials are then
-    /// combined in deterministic plan order, so the result is
-    /// bit-identical to [`resolve_aggregate`](Self::resolve_aggregate)
-    /// for every worker count and strategy. Degrades to the sequential
-    /// path when `config` requests at most one worker or the back-end
-    /// lacks [`supports_parallel`].
-    ///
-    /// [`supports_parallel`]: crate::Capabilities::supports_parallel
-    pub fn resolve_aggregate_parallel(
+    /// Streamed aggregate over the elements of a proxy's view that
+    /// satisfy `pred` (filtered AAPR). Non-qualifying chunks are
+    /// skipped before fetch; chunks none of whose addressed elements
+    /// match contribute *no* fold partial, which is what makes the
+    /// result bit-identical with skipping on or off (including `f64`
+    /// sums, whose fold order is structural). With no matching elements
+    /// the result mirrors the empty-view semantics: `Count`/`Sum` are
+    /// 0, `Prod` is 1, the rest error.
+    pub fn resolve_aggregate_filtered(
         &mut self,
         proxy: &ArrayProxy,
+        pred: &ValuePredicate,
         op: AggregateOp,
         strategy: RetrievalStrategy,
-        config: crate::ParallelConfig,
-    ) -> Result<Num>
-    where
-        S: crate::SharedChunkRead,
-    {
-        if config.workers <= 1 || !self.backend.capabilities().supports_parallel {
-            return self.resolve_aggregate(proxy, op, strategy);
-        }
-        let before = self.backend.io_stats();
-        let before_res = self.backend.resilience_stats();
-        let meta = proxy.meta();
-        let chunking = meta.chunking;
-        let mut by_chunk: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        let mut count = 0u64;
-        proxy.view().for_each_address(|a| {
-            by_chunk.entry(chunking.chunk_of(a)).or_default().push(a);
-            count += 1;
-        });
-        if count == 0 {
-            self.finish_stats(before, before_res, 0, 0, 0, DecodeTally::default());
-            return match op {
-                AggregateOp::Count => Ok(Num::Int(0)),
-                AggregateOp::Sum => Ok(Num::Int(0)),
-                AggregateOp::Prod => Ok(Num::Int(1)),
-                _ => Err(StorageError::Backend(
-                    "aggregate over empty array view".into(),
-                )),
-            };
-        }
-        if op == AggregateOp::Count {
-            self.finish_stats(before, before_res, 0, 0, 0, DecodeTally::default());
-            return Ok(Num::Int(count as i64));
-        }
-        let needed: Vec<u64> = by_chunk.keys().copied().collect();
-        let plan = make_plan(&needed, &chunking, strategy);
-        let (ty, array_id, encoded) = (meta.numeric_type, meta.array_id, meta.encoded);
-        let by_chunk = &by_chunk;
-        let dec_chunks = std::sync::atomic::AtomicU64::new(0);
-        let dec_bytes = std::sync::atomic::AtomicU64::new(0);
-        let (per_op, fallbacks) = crate::parallel::run_plan(
-            &self.backend,
-            array_id,
-            &plan,
-            &needed,
-            config.workers,
-            |_, rows| {
-                let mut parts = Vec::with_capacity(rows.len());
-                for (cid, payload) in rows {
-                    let Some(addrs) = by_chunk.get(&cid) else {
-                        continue; // overfetched by a covering range
-                    };
-                    let (payload, bytes) = decode_payload(encoded, payload, array_id, cid)?;
-                    if bytes > 0 {
-                        dec_chunks.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        dec_bytes.fetch_add(bytes, std::sync::atomic::Ordering::Relaxed);
-                    }
-                    let (chunk_start, _) = chunking.chunk_span(cid);
-                    parts.push(chunk_partial(
-                        &payload,
-                        addrs,
-                        chunk_start,
-                        ty,
-                        op,
-                        array_id,
-                        cid,
-                    )?);
-                }
-                kernel::note_parallel_folds(parts.len() as u64);
-                Ok(parts)
-            },
-        )?;
-        let mut acc: Option<Num> = None;
-        let mut n = 0u64;
-        for parts in per_op {
-            for (part, c) in parts {
-                n += c;
-                acc = Some(match acc {
-                    None => part,
-                    Some(prev) => fold(op, prev, part)?,
-                });
-            }
-        }
-        let decoded = DecodeTally {
-            chunks: dec_chunks.into_inner(),
-            bytes: dec_bytes.into_inner(),
-        };
-        self.finish_stats(before, before_res, fallbacks, n as usize, 0, decoded);
-        let total = acc.ok_or(StorageError::Backend("no elements resolved".into()))?;
-        Ok(match op {
-            AggregateOp::Avg => Num::Real(total.as_f64() / n as f64),
-            _ => total,
-        })
+        config: ParallelConfig,
+    ) -> Result<Num> {
+        self.aggregate(proxy, Some(pred), op, strategy, config)
     }
 
-    fn fetch(
+    /// Resolve the elements of a proxy's view that satisfy `pred`, in
+    /// view order (the APR analogue of a `FILTER` scan). Chunks whose
+    /// summary proves no element can match are skipped before fetch;
+    /// the returned values are identical with skipping on or off.
+    pub fn resolve_filtered(
         &mut self,
-        meta: &ArrayMeta,
-        chunking: &Chunking,
-        needed: &[u64],
+        proxy: &ArrayProxy,
+        pred: &ValuePredicate,
         strategy: RetrievalStrategy,
-        fallbacks: &mut u64,
-        decoded: &mut DecodeTally,
-    ) -> Result<HashMap<u64, Vec<u8>>> {
-        let (array_id, encoded) = (meta.array_id, meta.encoded);
-        let mut out = HashMap::with_capacity(needed.len());
-        for op in make_plan(needed, chunking, strategy) {
-            for (cid, payload) in self.execute_with_fallback(array_id, &op, needed, fallbacks)? {
-                let (raw, bytes) = decode_payload(encoded, payload, array_id, cid)?;
-                decoded.note(bytes);
-                out.insert(cid, raw);
+        config: ParallelConfig,
+    ) -> Result<Vec<Num>> {
+        let mark = self.mark();
+        let meta = proxy.meta();
+        let chunking = meta.chunking;
+        let addresses = proxy.view().addresses();
+        let mut by_chunk = group_by_chunk(proxy, &chunking);
+        let skipped = self.prune_chunks(meta.array_id, &mut by_chunk, pred);
+        let needed: Vec<u64> = by_chunk.keys().copied().collect();
+        let (chunks, tally) = self.fetch(meta, &needed, strategy, config)?;
+        let mut out = Vec::new();
+        for &a in &addresses {
+            let cid = chunking.chunk_of(a);
+            if !by_chunk.contains_key(&cid) {
+                continue; // skipped: provably no match at this address
+            }
+            let (start, _) = chunking.chunk_span(cid);
+            let v = chunks
+                .get(&cid)
+                .and_then(|payload| decode_element(payload, a - start, meta.numeric_type))
+                .ok_or(StorageError::MissingChunk {
+                    array_id: meta.array_id,
+                    chunk_id: cid,
+                })?;
+            if pred.matches(v) {
+                out.push(v);
             }
         }
+        self.finish_stats(mark, tally, out.len(), skipped);
         Ok(out)
     }
 
-    fn execute(&mut self, array_id: u64, op: &FetchOp) -> Result<Vec<(u64, Vec<u8>)>> {
-        let _span = ssdm_obs::Span::start(obs_chunk_fetch_hist());
-        match op {
-            FetchOp::Range { lo, hi } => self.backend.get_chunk_range(array_id, *lo, *hi),
-            FetchOp::In(ids) => {
-                if ids.len() == 1 {
-                    Ok(vec![(ids[0], self.backend.get_chunk(array_id, ids[0])?)])
-                } else {
-                    self.backend.get_chunks_in(array_id, ids)
+    /// Whether any element of the proxy's view satisfies `pred`
+    /// (membership / `EXISTS`). Skips non-qualifying chunks via the
+    /// zone map and stops claiming fetch ops after the first match.
+    pub fn resolve_exists(
+        &mut self,
+        proxy: &ArrayProxy,
+        pred: &ValuePredicate,
+        strategy: RetrievalStrategy,
+        config: ParallelConfig,
+    ) -> Result<bool> {
+        let mark = self.mark();
+        let meta = proxy.meta();
+        let mut by_chunk = group_by_chunk(proxy, &meta.chunking);
+        let skipped = self.prune_chunks(meta.array_id, &mut by_chunk, pred);
+        let needed: Vec<u64> = by_chunk.keys().copied().collect();
+        let plan = make_plan(&needed, &meta.chunking, strategy);
+        let examined = AtomicU64::new(0);
+        let (hits, tally) = self.execute(meta, &plan, &needed, config, true, |cid, payload| {
+            let (start, _) = meta.chunking.chunk_span(cid);
+            let mut seen = 0;
+            let mut found = false;
+            for &a in &by_chunk[&cid] {
+                let v = decode_element(&payload, a - start, meta.numeric_type).ok_or(
+                    StorageError::MissingChunk {
+                        array_id: meta.array_id,
+                        chunk_id: cid,
+                    },
+                )?;
+                seen += 1;
+                if pred.matches(v) {
+                    found = true;
+                    break;
                 }
             }
+            examined.fetch_add(seen, Ordering::Relaxed);
+            Ok(found.then_some(()))
+        })?;
+        let examined = examined.into_inner() as usize;
+        self.finish_stats(mark, tally, examined, skipped);
+        Ok(!hits.is_empty())
+    }
+
+    /// The streamed (filtered) aggregate behind
+    /// [`resolve_aggregate`](Self::resolve_aggregate) and
+    /// [`resolve_aggregate_filtered`](Self::resolve_aggregate_filtered):
+    /// the fold sink on the APR executor.
+    fn aggregate(
+        &mut self,
+        proxy: &ArrayProxy,
+        pred: Option<&ValuePredicate>,
+        op: AggregateOp,
+        strategy: RetrievalStrategy,
+        config: ParallelConfig,
+    ) -> Result<Num> {
+        let mark = self.mark();
+        let meta = proxy.meta();
+        let mut by_chunk = group_by_chunk(proxy, &meta.chunking);
+        let skipped = match pred {
+            Some(pred) => self.prune_chunks(meta.array_id, &mut by_chunk, pred),
+            None => {
+                // An unfiltered count or an empty view needs no I/O.
+                let count: usize = by_chunk.values().map(Vec::len).sum();
+                if count == 0 || op == AggregateOp::Count {
+                    self.finish_stats(mark, ExecTally::default(), 0, 0);
+                    return match count {
+                        0 => empty_aggregate(op, "aggregate over empty array view"),
+                        n => Ok(Num::Int(n as i64)),
+                    };
+                }
+                0
+            }
+        };
+        let needed: Vec<u64> = by_chunk.keys().copied().collect();
+        let plan = make_plan(&needed, &meta.chunking, strategy);
+        let (parts, tally) =
+            self.execute(meta, &plan, &needed, config, false, |cid, payload| {
+                chunk_partial(&payload, &by_chunk[&cid], meta, cid, op, pred)
+            })?;
+        if self.workers(config) > 1 {
+            kernel::note_parallel_folds(parts.len() as u64);
+        }
+        let mut acc: Option<Num> = None;
+        let mut n = 0u64;
+        for (part, c) in parts {
+            n += c;
+            acc = Some(match acc {
+                None => part,
+                Some(prev) => fold(combine_op(op), prev, part)?,
+            });
+        }
+        self.finish_stats(mark, tally, n as usize, skipped);
+        match acc {
+            None if pred.is_none() => Err(StorageError::Backend("no elements resolved".into())),
+            None => empty_aggregate(op, "aggregate over empty filtered view"),
+            Some(total) if op == AggregateOp::Avg => Ok(Num::Real(total.as_f64() / n as f64)),
+            Some(total) => Ok(total),
         }
     }
 
-    /// Execute one fetch op; when a *batched* statement (`IN`-list of
-    /// several ids, or a range) fails, degrade to per-chunk `Single`
-    /// retrieval of the needed ids it covered instead of aborting the
-    /// whole resolution. A corrupt or unavailable chunk that was only
-    /// *overfetched* by a covering range thus cannot sink a query that
-    /// never needed it.
-    fn execute_with_fallback(
-        &mut self,
-        array_id: u64,
-        op: &FetchOp,
+    /// The gather sink: fetch the `needed` chunks of `meta`'s array and
+    /// keep their decoded payloads by chunk id.
+    fn fetch(
+        &self,
+        meta: &ArrayMeta,
         needed: &[u64],
-        fallbacks: &mut u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>> {
-        let batched = match op {
-            FetchOp::Range { .. } => true,
-            FetchOp::In(ids) => ids.len() > 1,
-        };
-        match self.execute(array_id, op) {
-            Ok(rows) => Ok(rows),
-            Err(e) if !batched => Err(e),
-            Err(_) => {
-                *fallbacks += 1;
-                let ids: Vec<u64> = match op {
-                    FetchOp::In(ids) => ids.clone(),
-                    FetchOp::Range { lo, hi } => needed
-                        .iter()
-                        .copied()
-                        .filter(|c| (*lo..=*hi).contains(c))
-                        .collect(),
-                };
-                let mut out = Vec::with_capacity(ids.len());
-                for c in ids {
-                    out.push((c, self.backend.get_chunk(array_id, c)?));
+        strategy: RetrievalStrategy,
+        config: ParallelConfig,
+    ) -> Result<(HashMap<u64, Vec<u8>>, ExecTally)> {
+        let plan = make_plan(needed, &meta.chunking, strategy);
+        let (rows, tally) = self.execute(meta, &plan, needed, config, false, |cid, raw| {
+            Ok(Some((cid, raw)))
+        })?;
+        Ok((rows.into_iter().collect(), tally))
+    }
+
+    /// Worker count the executor runs with: `config.workers`, clamped
+    /// to one when the back-end does not tolerate concurrent reads.
+    fn workers(&self, config: ParallelConfig) -> usize {
+        if self.backend.capabilities().supports_parallel {
+            config.workers.max(1)
+        } else {
+            1
+        }
+    }
+
+    /// The one APR executor. Runs `plan` on [`crate::parallel::run_plan`]
+    /// with [`workers`](Self::workers) threads — one worker *is* the
+    /// sequential path — and, inside the worker that fetched it, decodes
+    /// each chunk the view `needed` (rows a covering range overfetched
+    /// are dropped undecoded) and hands it to `sink`. Sink outputs
+    /// return in plan order and the earliest failing op's error wins,
+    /// so every worker count yields the same answer. With `first_only`
+    /// the run ends at the first output: later ops are not claimed.
+    fn execute<T: Send>(
+        &self,
+        meta: &ArrayMeta,
+        plan: &[FetchOp],
+        needed: &[u64],
+        config: ParallelConfig,
+        first_only: bool,
+        sink: impl Fn(u64, Vec<u8>) -> Result<Option<T>> + Sync,
+    ) -> Result<(Vec<T>, ExecTally)> {
+        let (array_id, encoded) = (meta.array_id, meta.encoded);
+        // Ops at or past `limit` are not claimed (existence scans). A
+        // skip hint only: results travel through `run_plan`'s slots.
+        let limit = AtomicUsize::new(usize::MAX);
+        let dec_chunks = AtomicU64::new(0);
+        let dec_bytes = AtomicU64::new(0);
+        let (per_op, fallbacks) = crate::parallel::run_plan(
+            &self.backend,
+            array_id,
+            plan,
+            needed,
+            self.workers(config),
+            &limit,
+            |i, rows| {
+                let mut out = Vec::new();
+                for (cid, payload) in rows {
+                    if i >= limit.load(Ordering::Relaxed) {
+                        break; // a plan-earlier op already answered
+                    }
+                    if needed.binary_search(&cid).is_err() {
+                        continue; // overfetched by a covering range
+                    }
+                    let (raw, bytes) = decode_payload(encoded, payload, array_id, cid)?;
+                    if bytes > 0 {
+                        dec_chunks.fetch_add(1, Ordering::Relaxed);
+                        dec_bytes.fetch_add(bytes, Ordering::Relaxed);
+                    }
+                    if let Some(v) = sink(cid, raw)? {
+                        out.push(v);
+                        if first_only {
+                            limit.fetch_min(i + 1, Ordering::Relaxed);
+                            break;
+                        }
+                    }
                 }
                 Ok(out)
+            },
+        );
+        let mut out = Vec::new();
+        for rows in per_op {
+            let rows = rows?;
+            let done = first_only && !rows.is_empty();
+            out.extend(rows);
+            if done {
+                break;
             }
+        }
+        let tally = ExecTally {
+            fallbacks,
+            chunks_decoded: dec_chunks.into_inner(),
+            bytes_decoded: dec_bytes.into_inner(),
+        };
+        Ok((out, tally))
+    }
+
+    /// Open the stats bracket of one resolution.
+    pub(crate) fn mark(&self) -> StatsMark {
+        StatsMark {
+            io: self.backend.io_stats(),
+            res: self.backend.resilience_stats(),
         }
     }
 
-    fn finish_stats(
+    /// Close the stats bracket: [`last_stats`](Self::last_stats) becomes
+    /// the back-end counter movement since `mark` plus what the
+    /// resolution itself tallied, and is added to the cumulative totals.
+    pub(crate) fn finish_stats(
         &mut self,
-        before: IoStats,
-        before_res: ResilienceStats,
-        fallbacks: u64,
+        mark: StatsMark,
+        tally: ExecTally,
         elements: usize,
         skipped: u64,
-        decoded: DecodeTally,
     ) {
         let after = self.backend.io_stats();
-        let res = self.backend.resilience_stats().since(&before_res);
+        let res = self.backend.resilience_stats().since(&mark.res);
         self.last_stats = AprStats {
-            statements: after.statements - before.statements,
-            chunks_fetched: after.chunks_returned - before.chunks_returned,
-            bytes_fetched: after.bytes_returned - before.bytes_returned,
+            statements: after.statements - mark.io.statements,
+            chunks_fetched: after.chunks_returned - mark.io.chunks_returned,
+            bytes_fetched: after.bytes_returned - mark.io.bytes_returned,
             elements_resolved: elements as u64,
-            fallbacks,
+            fallbacks: tally.fallbacks,
             retries: res.retries,
             corruption_repaired: res.corruption_repaired,
             chunks_skipped: skipped,
-            chunks_decoded: decoded.chunks,
-            bytes_decoded: decoded.bytes,
+            chunks_decoded: tally.chunks_decoded,
+            bytes_decoded: tally.bytes_decoded,
         };
         self.cumulative.accumulate(&self.last_stats);
     }
@@ -767,270 +700,6 @@ impl<S: ChunkStore> ArrayStore<S> {
         }
         skipped
     }
-
-    /// Resolve the elements of a proxy's view that satisfy `pred`, in
-    /// view order (the APR analogue of a `FILTER` scan). Chunks whose
-    /// summary proves no element can match are skipped before fetch;
-    /// the returned values are identical with skipping on or off.
-    pub fn resolve_filtered(
-        &mut self,
-        proxy: &ArrayProxy,
-        pred: &ValuePredicate,
-        strategy: RetrievalStrategy,
-    ) -> Result<Vec<Num>> {
-        let before = self.backend.io_stats();
-        let before_res = self.backend.resilience_stats();
-        let meta = Arc::clone(proxy.meta());
-        let chunking = meta.chunking;
-        let addresses = proxy.view().addresses();
-        let mut by_chunk: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        for &a in &addresses {
-            by_chunk.entry(chunking.chunk_of(a)).or_default().push(a);
-        }
-        let skipped = self.prune_chunks(meta.array_id, &mut by_chunk, pred);
-        let needed: Vec<u64> = by_chunk.keys().copied().collect();
-        let mut fallbacks = 0u64;
-        let mut decoded = DecodeTally::default();
-        let chunks = self.fetch(
-            &meta,
-            &chunking,
-            &needed,
-            strategy,
-            &mut fallbacks,
-            &mut decoded,
-        )?;
-        let mut out = Vec::new();
-        for &a in &addresses {
-            let cid = chunking.chunk_of(a);
-            if !by_chunk.contains_key(&cid) {
-                continue; // skipped: provably no match at this address
-            }
-            let payload = chunks.get(&cid).ok_or(StorageError::MissingChunk {
-                array_id: meta.array_id,
-                chunk_id: cid,
-            })?;
-            let (start, _) = chunking.chunk_span(cid);
-            let v = decode_element(payload, a - start, meta.numeric_type).ok_or(
-                StorageError::MissingChunk {
-                    array_id: meta.array_id,
-                    chunk_id: cid,
-                },
-            )?;
-            if pred.matches(v) {
-                out.push(v);
-            }
-        }
-        let elements = out.len();
-        self.finish_stats(before, before_res, fallbacks, elements, skipped, decoded);
-        Ok(out)
-    }
-
-    /// Whether any element of the proxy's view satisfies `pred`
-    /// (membership / `EXISTS`). Skips non-qualifying chunks via the
-    /// zone map and stops at the first match.
-    pub fn resolve_exists(
-        &mut self,
-        proxy: &ArrayProxy,
-        pred: &ValuePredicate,
-        strategy: RetrievalStrategy,
-    ) -> Result<bool> {
-        let before = self.backend.io_stats();
-        let before_res = self.backend.resilience_stats();
-        let meta = Arc::clone(proxy.meta());
-        let chunking = meta.chunking;
-        let mut by_chunk: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        proxy.view().for_each_address(|a| {
-            by_chunk.entry(chunking.chunk_of(a)).or_default().push(a);
-        });
-        let skipped = self.prune_chunks(meta.array_id, &mut by_chunk, pred);
-        let needed: Vec<u64> = by_chunk.keys().copied().collect();
-        let plan = make_plan(&needed, &chunking, strategy);
-        let mut fallbacks = 0u64;
-        let mut decoded = DecodeTally::default();
-        let mut examined = 0usize;
-        let mut found = false;
-        'ops: for fetch_op in plan {
-            let rows =
-                self.execute_with_fallback(meta.array_id, &fetch_op, &needed, &mut fallbacks)?;
-            for (cid, payload) in rows {
-                let Some(addrs) = by_chunk.get(&cid) else {
-                    continue; // overfetched by a covering range
-                };
-                let (payload, bytes) = decode_payload(meta.encoded, payload, meta.array_id, cid)?;
-                decoded.note(bytes);
-                let (start, _) = chunking.chunk_span(cid);
-                for &a in addrs {
-                    let v = decode_element(&payload, a - start, meta.numeric_type).ok_or(
-                        StorageError::MissingChunk {
-                            array_id: meta.array_id,
-                            chunk_id: cid,
-                        },
-                    )?;
-                    examined += 1;
-                    if pred.matches(v) {
-                        found = true;
-                        break 'ops;
-                    }
-                }
-            }
-        }
-        self.finish_stats(before, before_res, fallbacks, examined, skipped, decoded);
-        Ok(found)
-    }
-
-    /// Streamed aggregate over the elements of a proxy's view that
-    /// satisfy `pred` (filtered AAPR). Non-qualifying chunks are
-    /// skipped before fetch; chunks none of whose addressed elements
-    /// match contribute *no* fold partial, which is what makes the
-    /// result bit-identical with skipping on or off (including `f64`
-    /// sums, whose fold order is structural). With no matching elements
-    /// the result mirrors the empty-view semantics: `Count`/`Sum` are
-    /// 0, `Prod` is 1, the rest error.
-    pub fn resolve_aggregate_filtered(
-        &mut self,
-        proxy: &ArrayProxy,
-        pred: &ValuePredicate,
-        op: AggregateOp,
-        strategy: RetrievalStrategy,
-    ) -> Result<Num> {
-        let before = self.backend.io_stats();
-        let before_res = self.backend.resilience_stats();
-        let meta = Arc::clone(proxy.meta());
-        let chunking = meta.chunking;
-        let mut by_chunk: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        proxy.view().for_each_address(|a| {
-            by_chunk.entry(chunking.chunk_of(a)).or_default().push(a);
-        });
-        let skipped = self.prune_chunks(meta.array_id, &mut by_chunk, pred);
-        let needed: Vec<u64> = by_chunk.keys().copied().collect();
-        let plan = make_plan(&needed, &chunking, strategy);
-        let mut acc: Option<Num> = None;
-        let mut n = 0u64;
-        let mut fallbacks = 0u64;
-        let mut decoded = DecodeTally::default();
-        for fetch_op in plan {
-            let rows =
-                self.execute_with_fallback(meta.array_id, &fetch_op, &needed, &mut fallbacks)?;
-            for (cid, payload) in rows {
-                let Some(addrs) = by_chunk.get(&cid) else {
-                    continue; // overfetched by a covering range
-                };
-                let (payload, bytes) = decode_payload(meta.encoded, payload, meta.array_id, cid)?;
-                decoded.note(bytes);
-                let (chunk_start, _) = chunking.chunk_span(cid);
-                if let Some((part, c)) = chunk_partial_filtered(
-                    &payload,
-                    addrs,
-                    chunk_start,
-                    meta.numeric_type,
-                    op,
-                    pred,
-                    meta.array_id,
-                    cid,
-                )? {
-                    n += c;
-                    acc = Some(match acc {
-                        None => part,
-                        Some(prev) => fold(combine_op(op), prev, part)?,
-                    });
-                }
-            }
-        }
-        self.finish_stats(before, before_res, fallbacks, n as usize, skipped, decoded);
-        finish_filtered_aggregate(acc, n, op)
-    }
-
-    /// Parallel filtered AAPR: zone-map pruning happens up front, then
-    /// the surviving plan is partitioned across the worker pool with
-    /// decode + filter + fold inside the fetching workers. Partials
-    /// combine in plan order, so the result is bit-identical to
-    /// [`resolve_aggregate_filtered`](Self::resolve_aggregate_filtered)
-    /// for every worker count. Degrades to the sequential path when the
-    /// back-end lacks `supports_parallel` or at most one worker is
-    /// requested.
-    #[allow(clippy::too_many_arguments)]
-    pub fn resolve_aggregate_filtered_parallel(
-        &mut self,
-        proxy: &ArrayProxy,
-        pred: &ValuePredicate,
-        op: AggregateOp,
-        strategy: RetrievalStrategy,
-        config: crate::ParallelConfig,
-    ) -> Result<Num>
-    where
-        S: crate::SharedChunkRead,
-    {
-        if config.workers <= 1 || !self.backend.capabilities().supports_parallel {
-            return self.resolve_aggregate_filtered(proxy, pred, op, strategy);
-        }
-        let before = self.backend.io_stats();
-        let before_res = self.backend.resilience_stats();
-        let meta = Arc::clone(proxy.meta());
-        let chunking = meta.chunking;
-        let mut by_chunk: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        proxy.view().for_each_address(|a| {
-            by_chunk.entry(chunking.chunk_of(a)).or_default().push(a);
-        });
-        let skipped = self.prune_chunks(meta.array_id, &mut by_chunk, pred);
-        let needed: Vec<u64> = by_chunk.keys().copied().collect();
-        let plan = make_plan(&needed, &chunking, strategy);
-        let (ty, array_id, encoded) = (meta.numeric_type, meta.array_id, meta.encoded);
-        let by_chunk = &by_chunk;
-        let dec_chunks = std::sync::atomic::AtomicU64::new(0);
-        let dec_bytes = std::sync::atomic::AtomicU64::new(0);
-        let (per_op, fallbacks) = crate::parallel::run_plan(
-            &self.backend,
-            array_id,
-            &plan,
-            &needed,
-            config.workers,
-            |_, rows| {
-                let mut parts = Vec::with_capacity(rows.len());
-                for (cid, payload) in rows {
-                    let Some(addrs) = by_chunk.get(&cid) else {
-                        continue; // overfetched by a covering range
-                    };
-                    let (payload, bytes) = decode_payload(encoded, payload, array_id, cid)?;
-                    if bytes > 0 {
-                        dec_chunks.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        dec_bytes.fetch_add(bytes, std::sync::atomic::Ordering::Relaxed);
-                    }
-                    let (chunk_start, _) = chunking.chunk_span(cid);
-                    if let Some(part) = chunk_partial_filtered(
-                        &payload,
-                        addrs,
-                        chunk_start,
-                        ty,
-                        op,
-                        pred,
-                        array_id,
-                        cid,
-                    )? {
-                        parts.push(part);
-                    }
-                }
-                kernel::note_parallel_folds(parts.len() as u64);
-                Ok(parts)
-            },
-        )?;
-        let mut acc: Option<Num> = None;
-        let mut n = 0u64;
-        for parts in per_op {
-            for (part, c) in parts {
-                n += c;
-                acc = Some(match acc {
-                    None => part,
-                    Some(prev) => fold(combine_op(op), prev, part)?,
-                });
-            }
-        }
-        let decoded = DecodeTally {
-            chunks: dec_chunks.into_inner(),
-            bytes: dec_bytes.into_inner(),
-        };
-        self.finish_stats(before, before_res, fallbacks, n as usize, skipped, decoded);
-        finish_filtered_aggregate(acc, n, op)
-    }
 }
 
 /// Needed chunk ids of a proxy's view, ascending.
@@ -1041,6 +710,16 @@ fn needed_chunks(proxy: &ArrayProxy, chunking: &Chunking) -> Vec<u64> {
         set.extend(chunking.chunks_for_run(run));
     }
     set.into_iter().collect()
+}
+
+/// A proxy's view addresses grouped by chunk, chunks ascending, each
+/// chunk's addresses in view order.
+fn group_by_chunk(proxy: &ArrayProxy, chunking: &Chunking) -> BTreeMap<u64, Vec<usize>> {
+    let mut by_chunk: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+    proxy.view().for_each_address(|a| {
+        by_chunk.entry(chunking.chunk_of(a)).or_default().push(a);
+    });
+    by_chunk
 }
 
 /// Build the statement plan for a strategy.
@@ -1065,103 +744,79 @@ fn make_plan(needed: &[u64], chunking: &Chunking, strategy: RetrievalStrategy) -
     }
 }
 
-/// Decode one fetched chunk's needed addresses into a dense scratch
-/// vector and fold them into a partial aggregate with the typed
-/// kernels (`ssdm_array::kernel`). Returns the partial and the number
-/// of elements it covers; `Avg` partials are raw sums — the caller
-/// divides once by the total count.
+/// Fold one decoded chunk's addressed elements — only those satisfying
+/// `pred`, when given — into a partial aggregate with the typed kernels
+/// (`ssdm_array::kernel`). Returns the partial and the number of
+/// elements it covers, or `None` when no addressed element matches: the
+/// chunk then contributes nothing to the combine, exactly as if the
+/// zone map had skipped it, which keeps filtered aggregates
+/// bit-identical with skipping on or off. `Count` partials are element
+/// counts; `Avg` partials are raw sums — the caller divides once by the
+/// total count.
 fn chunk_partial(
     payload: &[u8],
     addrs: &[usize],
-    chunk_start: usize,
-    ty: NumericType,
-    op: AggregateOp,
-    array_id: u64,
+    meta: &ArrayMeta,
     chunk_id: u64,
-) -> Result<(Num, u64)> {
-    let missing = || StorageError::MissingChunk { array_id, chunk_id };
-    let part = match ty {
+    op: AggregateOp,
+    pred: Option<&ValuePredicate>,
+) -> Result<Option<(Num, u64)>> {
+    let (start, _) = meta.chunking.chunk_span(chunk_id);
+    let missing = || StorageError::MissingChunk {
+        array_id: meta.array_id,
+        chunk_id,
+    };
+    let keep = |v: Num| pred.is_none_or(|p| p.matches(v));
+    match meta.numeric_type {
         NumericType::Int => {
-            let mut vals = Vec::with_capacity(addrs.len());
-            for &a in addrs {
-                let off = (a - chunk_start) * 8;
-                let bytes = payload.get(off..off + 8).ok_or_else(missing)?;
-                vals.push(i64::from_le_bytes(bytes.try_into().expect("8 bytes")));
-            }
-            kernel::fold_i64(&vals, op).map_err(StorageError::Array)?
+            let vals = words(payload, addrs, start, i64::from_le_bytes, |v| {
+                keep(Num::Int(v))
+            })
+            .ok_or_else(missing)?;
+            partial(vals.len(), op, || kernel::fold_i64(&vals, op))
         }
         NumericType::Real => {
-            let mut vals = Vec::with_capacity(addrs.len());
-            for &a in addrs {
-                let off = (a - chunk_start) * 8;
-                let bytes = payload.get(off..off + 8).ok_or_else(missing)?;
-                vals.push(f64::from_le_bytes(bytes.try_into().expect("8 bytes")));
-            }
-            kernel::fold_f64(&vals, op).map_err(StorageError::Array)?
+            let vals = words(payload, addrs, start, f64::from_le_bytes, |v| {
+                keep(Num::Real(v))
+            })
+            .ok_or_else(missing)?;
+            partial(vals.len(), op, || kernel::fold_f64(&vals, op))
         }
-    };
-    Ok((part, addrs.len() as u64))
+    }
 }
 
-/// Like [`chunk_partial`], but folding only the addressed elements that
-/// satisfy `pred`. Returns `None` when no addressed element matches —
-/// the chunk then contributes nothing to the combine, exactly as if the
-/// zone map had skipped it, which is what keeps filtered aggregates
-/// bit-identical with skipping on or off. `Count` partials are element
-/// counts and combine by addition.
-#[allow(clippy::too_many_arguments)]
-fn chunk_partial_filtered(
+/// The elements at `addrs` of a chunk payload starting at element
+/// `start` that satisfy `keep`; `None` when the payload is too short.
+fn words<T: Copy>(
     payload: &[u8],
     addrs: &[usize],
-    chunk_start: usize,
-    ty: NumericType,
+    start: usize,
+    word: fn([u8; 8]) -> T,
+    keep: impl Fn(T) -> bool,
+) -> Option<Vec<T>> {
+    let mut vals = Vec::with_capacity(addrs.len());
+    for &a in addrs {
+        let off = (a - start) * 8;
+        let v = word(payload.get(off..off + 8)?.try_into().expect("8 bytes"));
+        if keep(v) {
+            vals.push(v);
+        }
+    }
+    Some(vals)
+}
+
+/// The partial of `n` matched elements: nothing when none matched, the
+/// count for `Count`, otherwise `fold()`.
+fn partial(
+    n: usize,
     op: AggregateOp,
-    pred: &ValuePredicate,
-    array_id: u64,
-    chunk_id: u64,
+    fold: impl FnOnce() -> std::result::Result<Num, ssdm_array::ArrayError>,
 ) -> Result<Option<(Num, u64)>> {
-    let missing = || StorageError::MissingChunk { array_id, chunk_id };
-    let part = match ty {
-        NumericType::Int => {
-            let mut vals = Vec::with_capacity(addrs.len());
-            for &a in addrs {
-                let off = (a - chunk_start) * 8;
-                let bytes = payload.get(off..off + 8).ok_or_else(missing)?;
-                let v = i64::from_le_bytes(bytes.try_into().expect("8 bytes"));
-                if pred.matches(Num::Int(v)) {
-                    vals.push(v);
-                }
-            }
-            if vals.is_empty() {
-                return Ok(None);
-            }
-            if op == AggregateOp::Count {
-                return Ok(Some((Num::Int(vals.len() as i64), vals.len() as u64)));
-            }
-            let n = vals.len() as u64;
-            (kernel::fold_i64(&vals, op).map_err(StorageError::Array)?, n)
-        }
-        NumericType::Real => {
-            let mut vals = Vec::with_capacity(addrs.len());
-            for &a in addrs {
-                let off = (a - chunk_start) * 8;
-                let bytes = payload.get(off..off + 8).ok_or_else(missing)?;
-                let v = f64::from_le_bytes(bytes.try_into().expect("8 bytes"));
-                if pred.matches(Num::Real(v)) {
-                    vals.push(v);
-                }
-            }
-            if vals.is_empty() {
-                return Ok(None);
-            }
-            if op == AggregateOp::Count {
-                return Ok(Some((Num::Int(vals.len() as i64), vals.len() as u64)));
-            }
-            let n = vals.len() as u64;
-            (kernel::fold_f64(&vals, op).map_err(StorageError::Array)?, n)
-        }
-    };
-    Ok(Some(part))
+    Ok(match (n, op) {
+        (0, _) => None,
+        (n, AggregateOp::Count) => Some((Num::Int(n as i64), n as u64)),
+        (n, _) => Some((fold().map_err(StorageError::Array)?, n as u64)),
+    })
 }
 
 /// The operator used to *combine* per-chunk partials of `op`: `Count`
@@ -1175,24 +830,13 @@ fn combine_op(op: AggregateOp) -> AggregateOp {
     }
 }
 
-/// Final-value semantics of a filtered aggregate: with no matching
-/// elements, mirror the empty-view behaviour of `resolve_aggregate`
-/// (`Count`/`Sum` 0, `Prod` 1, the rest error); otherwise divide `Avg`
-/// by the matched count.
-fn finish_filtered_aggregate(acc: Option<Num>, n: u64, op: AggregateOp) -> Result<Num> {
-    match acc {
-        None => match op {
-            AggregateOp::Count => Ok(Num::Int(0)),
-            AggregateOp::Sum => Ok(Num::Int(0)),
-            AggregateOp::Prod => Ok(Num::Int(1)),
-            _ => Err(StorageError::Backend(
-                "aggregate over empty filtered view".into(),
-            )),
-        },
-        Some(total) => Ok(match op {
-            AggregateOp::Avg => Num::Real(total.as_f64() / n as f64),
-            _ => total,
-        }),
+/// An aggregate over no elements: `Count`/`Sum` are 0, `Prod` is 1, the
+/// rest fail with `what`.
+fn empty_aggregate(op: AggregateOp, what: &str) -> Result<Num> {
+    match op {
+        AggregateOp::Count | AggregateOp::Sum => Ok(Num::Int(0)),
+        AggregateOp::Prod => Ok(Num::Int(1)),
+        _ => Err(StorageError::Backend(what.into())),
     }
 }
 
@@ -1205,30 +849,57 @@ fn decode_element(payload: &[u8], off: usize, ty: NumericType) -> Option<Num> {
     })
 }
 
-/// Gather the elements at `addresses` from fetched chunks, in order.
-fn gather(
-    chunks: &HashMap<u64, Vec<u8>>,
-    chunking: &Chunking,
-    ty: NumericType,
+/// Gather the elements at `addresses` of `meta`'s array, in order,
+/// straight into a typed buffer. `chunk` looks up a decoded chunk
+/// payload by chunk id; a missing chunk or a short payload is a
+/// [`StorageError::MissingChunk`].
+pub(crate) fn gather<'a>(
+    meta: &ArrayMeta,
     addresses: &[usize],
-    array_id: u64,
-) -> Result<Vec<Num>> {
-    let mut out = Vec::with_capacity(addresses.len());
-    for &a in addresses {
-        let cid = chunking.chunk_of(a);
-        let payload = chunks.get(&cid).ok_or(StorageError::MissingChunk {
-            array_id,
-            chunk_id: cid,
-        })?;
-        let (start, _) = chunking.chunk_span(cid);
-        out.push(
-            decode_element(payload, a - start, ty).ok_or(StorageError::MissingChunk {
-                array_id,
+    chunk: impl Fn(u64) -> Option<&'a [u8]>,
+) -> Result<ArrayData> {
+    fn typed<'a, T>(
+        meta: &ArrayMeta,
+        addresses: &[usize],
+        chunk: impl Fn(u64) -> Option<&'a [u8]>,
+        word: fn([u8; 8]) -> T,
+    ) -> Result<Vec<T>> {
+        let chunking = meta.chunking;
+        let mut out = Vec::with_capacity(addresses.len());
+        // Consecutive addresses mostly share a chunk: keep the last one.
+        let mut current: Option<(u64, usize, &[u8])> = None;
+        for &a in addresses {
+            let cid = chunking.chunk_of(a);
+            let missing = StorageError::MissingChunk {
+                array_id: meta.array_id,
                 chunk_id: cid,
-            })?,
-        );
+            };
+            let (start, payload) = match current {
+                Some((c, start, payload)) if c == cid => (start, payload),
+                _ => {
+                    let payload = chunk(cid).ok_or(missing)?;
+                    let (start, _) = chunking.chunk_span(cid);
+                    current = Some((cid, start, payload));
+                    (start, payload)
+                }
+            };
+            let off = (a - start) * 8;
+            let bytes = payload
+                .get(off..off + 8)
+                .ok_or(StorageError::MissingChunk {
+                    array_id: meta.array_id,
+                    chunk_id: cid,
+                })?;
+            out.push(word(bytes.try_into().expect("8 bytes")));
+        }
+        Ok(out)
     }
-    Ok(out)
+    Ok(match meta.numeric_type {
+        NumericType::Int => ArrayData::from_i64(typed(meta, addresses, chunk, i64::from_le_bytes)?),
+        NumericType::Real => {
+            ArrayData::from_f64(typed(meta, addresses, chunk, f64::from_le_bytes)?)
+        }
+    })
 }
 
 fn fold(op: AggregateOp, a: Num, b: Num) -> Result<Num> {
@@ -1237,7 +908,7 @@ fn fold(op: AggregateOp, a: Num, b: Num) -> Result<Num> {
         AggregateOp::Prod => a.checked_mul(b),
         AggregateOp::Min => Ok(a.min(b)),
         AggregateOp::Max => Ok(a.max(b)),
-        AggregateOp::Count => unreachable!("count handled separately"),
+        AggregateOp::Count => unreachable!("count partials combine with Sum"),
     };
     r.map_err(StorageError::Array)
 }
@@ -1259,7 +930,11 @@ mod tests {
     fn whole_array_round_trip() {
         let (mut store, proxy) = store_with_matrix(64);
         let back = store
-            .resolve(&proxy, RetrievalStrategy::WholeArray)
+            .resolve(
+                &proxy,
+                RetrievalStrategy::WholeArray,
+                crate::ParallelConfig::SEQUENTIAL,
+            )
             .unwrap();
         assert_eq!(back.shape(), vec![20, 20]);
         assert_eq!(back.get(&[19, 19]).unwrap().as_i64(), 399);
@@ -1280,7 +955,9 @@ mod tests {
         ];
         let expected: Vec<i64> = (0..20).map(|r| r * 20 + 7).collect();
         for s in strategies {
-            let a = store.resolve(&col, s).unwrap();
+            let a = store
+                .resolve(&col, s, crate::ParallelConfig::SEQUENTIAL)
+                .unwrap();
             let got: Vec<i64> = a.elements().iter().map(|n| n.as_i64()).collect();
             assert_eq!(got, expected, "strategy {}", s.name());
         }
@@ -1290,10 +967,20 @@ mod tests {
     fn statement_counts_differ_by_strategy() {
         let (mut store, proxy) = store_with_matrix(64); // 8 elems/chunk, 50 chunks
         let col = proxy.subscript(1, 0).unwrap(); // touches 20 distinct rows
-        store.resolve(&col, RetrievalStrategy::Single).unwrap();
+        store
+            .resolve(
+                &col,
+                RetrievalStrategy::Single,
+                crate::ParallelConfig::SEQUENTIAL,
+            )
+            .unwrap();
         let single = store.last_stats();
         store
-            .resolve(&col, RetrievalStrategy::BufferedIn { buffer_size: 8 })
+            .resolve(
+                &col,
+                RetrievalStrategy::BufferedIn { buffer_size: 8 },
+                crate::ParallelConfig::SEQUENTIAL,
+            )
             .unwrap();
         let buffered = store.last_stats();
         store
@@ -1302,6 +989,7 @@ mod tests {
                 RetrievalStrategy::SpdRange {
                     options: SpdOptions::default(),
                 },
+                crate::ParallelConfig::SEQUENTIAL,
             )
             .unwrap();
         let spd = store.last_stats();
@@ -1323,6 +1011,7 @@ mod tests {
                 RetrievalStrategy::SpdRange {
                     options: SpdOptions::default(),
                 },
+                crate::ParallelConfig::SEQUENTIAL,
             )
             .unwrap();
         let got: Vec<i64> = a.elements().iter().map(|n| n.as_i64()).collect();
@@ -1339,7 +1028,13 @@ mod tests {
         let cell = proxy
             .dereference(&[Subscript::Index(3), Subscript::Index(5)])
             .unwrap();
-        let a = store.resolve(&cell, RetrievalStrategy::Single).unwrap();
+        let a = store
+            .resolve(
+                &cell,
+                RetrievalStrategy::Single,
+                crate::ParallelConfig::SEQUENTIAL,
+            )
+            .unwrap();
         assert_eq!(a.scalar_value().unwrap().as_i64(), 2 * 20 + 4); // (3-1)*20+(5-1)
         assert_eq!(store.last_stats().chunks_fetched, 1);
     }
@@ -1349,7 +1044,11 @@ mod tests {
         let (mut store, proxy) = store_with_matrix(64);
         let slice = proxy.slice(0, 2, 3, 17).unwrap();
         let materialized = store
-            .resolve(&slice, RetrievalStrategy::WholeArray)
+            .resolve(
+                &slice,
+                RetrievalStrategy::WholeArray,
+                crate::ParallelConfig::SEQUENTIAL,
+            )
             .unwrap();
         for op in [
             AggregateOp::Sum,
@@ -1359,7 +1058,12 @@ mod tests {
             AggregateOp::Count,
         ] {
             let streamed = store
-                .resolve_aggregate(&slice, op, RetrievalStrategy::BufferedIn { buffer_size: 4 })
+                .resolve_aggregate(
+                    &slice,
+                    op,
+                    RetrievalStrategy::BufferedIn { buffer_size: 4 },
+                    crate::ParallelConfig::SEQUENTIAL,
+                )
                 .unwrap();
             assert_eq!(streamed, materialized.aggregate(op).unwrap(), "{op:?}");
         }
@@ -1369,7 +1073,12 @@ mod tests {
     fn aggregate_count_needs_no_io() {
         let (mut store, proxy) = store_with_matrix(64);
         let n = store
-            .resolve_aggregate(&proxy, AggregateOp::Count, RetrievalStrategy::Single)
+            .resolve_aggregate(
+                &proxy,
+                AggregateOp::Count,
+                RetrievalStrategy::Single,
+                crate::ParallelConfig::SEQUENTIAL,
+            )
             .unwrap();
         assert_eq!(n, Num::Int(400));
         assert_eq!(store.last_stats().statements, 0);
@@ -1381,7 +1090,11 @@ mod tests {
         let a = NumArray::from_f64((0..100).map(|i| i as f64 / 4.0).collect());
         let proxy = store.store_array(&a, 32).unwrap();
         let back = store
-            .resolve(&proxy, RetrievalStrategy::WholeArray)
+            .resolve(
+                &proxy,
+                RetrievalStrategy::WholeArray,
+                crate::ParallelConfig::SEQUENTIAL,
+            )
             .unwrap();
         assert!(back.array_eq(&a));
         assert_eq!(back.numeric_type(), NumericType::Real);
@@ -1394,7 +1107,11 @@ mod tests {
         let t = m.transpose();
         let proxy = store.store_array(&t, 32).unwrap();
         let back = store
-            .resolve(&proxy, RetrievalStrategy::WholeArray)
+            .resolve(
+                &proxy,
+                RetrievalStrategy::WholeArray,
+                crate::ParallelConfig::SEQUENTIAL,
+            )
             .unwrap();
         assert!(back.array_eq(&t));
     }
@@ -1405,7 +1122,13 @@ mod tests {
         let id = proxy.array_id();
         store.delete_array(id).unwrap();
         assert!(store.proxy(id).is_err());
-        assert!(store.resolve(&proxy, RetrievalStrategy::Single).is_err());
+        assert!(store
+            .resolve(
+                &proxy,
+                RetrievalStrategy::Single,
+                crate::ParallelConfig::SEQUENTIAL
+            )
+            .is_err());
     }
 
     #[test]
@@ -1426,7 +1149,11 @@ mod tests {
             encoded: false,
         });
         let a = store
-            .resolve(&proxy, RetrievalStrategy::WholeArray)
+            .resolve(
+                &proxy,
+                RetrievalStrategy::WholeArray,
+                crate::ParallelConfig::SEQUENTIAL,
+            )
             .unwrap();
         assert_eq!(a.elements().iter().map(|n| n.as_i64()).sum::<i64>(), 45);
     }
@@ -1456,7 +1183,13 @@ mod tests {
         };
         let expected: i64 = (100..150).sum();
         let sum = store
-            .resolve_aggregate_filtered(&proxy, &pred, AggregateOp::Sum, RetrievalStrategy::Single)
+            .resolve_aggregate_filtered(
+                &proxy,
+                &pred,
+                AggregateOp::Sum,
+                RetrievalStrategy::Single,
+                crate::ParallelConfig::SEQUENTIAL,
+            )
             .unwrap();
         assert_eq!(sum, Num::Int(expected));
         let st = store.last_stats();
@@ -1468,7 +1201,13 @@ mod tests {
         assert!(st.bytes_decoded > 0);
         store.set_skip_enabled(false);
         let sum_off = store
-            .resolve_aggregate_filtered(&proxy, &pred, AggregateOp::Sum, RetrievalStrategy::Single)
+            .resolve_aggregate_filtered(
+                &proxy,
+                &pred,
+                AggregateOp::Sum,
+                RetrievalStrategy::Single,
+                crate::ParallelConfig::SEQUENTIAL,
+            )
             .unwrap();
         assert_eq!(sum_off, sum);
         let st_off = store.last_stats();
@@ -1489,11 +1228,18 @@ mod tests {
                 &pred,
                 AggregateOp::Count,
                 RetrievalStrategy::Single,
+                crate::ParallelConfig::SEQUENTIAL,
             )
             .unwrap();
         assert_eq!(n, Num::Int(4));
         let avg = store
-            .resolve_aggregate_filtered(&proxy, &pred, AggregateOp::Avg, RetrievalStrategy::Single)
+            .resolve_aggregate_filtered(
+                &proxy,
+                &pred,
+                AggregateOp::Avg,
+                RetrievalStrategy::Single,
+                crate::ParallelConfig::SEQUENTIAL,
+            )
             .unwrap();
         assert_eq!(avg, Num::Real(11.5));
         // No matches: Count/Sum yield zero, Min errors (empty semantics).
@@ -1507,7 +1253,8 @@ mod tests {
                     &proxy,
                     &none,
                     AggregateOp::Count,
-                    RetrievalStrategy::Single
+                    RetrievalStrategy::Single,
+                    crate::ParallelConfig::SEQUENTIAL
                 )
                 .unwrap(),
             Num::Int(0)
@@ -1515,7 +1262,13 @@ mod tests {
         assert_eq!(store.last_stats().chunks_skipped, 50);
         assert_eq!(store.last_stats().statements, 0);
         assert!(store
-            .resolve_aggregate_filtered(&proxy, &none, AggregateOp::Min, RetrievalStrategy::Single)
+            .resolve_aggregate_filtered(
+                &proxy,
+                &none,
+                AggregateOp::Min,
+                RetrievalStrategy::Single,
+                crate::ParallelConfig::SEQUENTIAL
+            )
             .is_err());
     }
 
@@ -1524,7 +1277,12 @@ mod tests {
         let (mut store, proxy) = store_with_matrix(64);
         let pred = ValuePredicate::In(vec![Num::Int(399), Num::Int(5), Num::Int(123)]);
         let got = store
-            .resolve_filtered(&proxy, &pred, RetrievalStrategy::Single)
+            .resolve_filtered(
+                &proxy,
+                &pred,
+                RetrievalStrategy::Single,
+                crate::ParallelConfig::SEQUENTIAL,
+            )
             .unwrap();
         // View order, not predicate order.
         assert_eq!(got, vec![Num::Int(5), Num::Int(123), Num::Int(399)]);
@@ -1537,11 +1295,21 @@ mod tests {
         let (mut store, proxy) = store_with_matrix(64);
         let hit = ValuePredicate::In(vec![Num::Int(42)]);
         assert!(store
-            .resolve_exists(&proxy, &hit, RetrievalStrategy::Single)
+            .resolve_exists(
+                &proxy,
+                &hit,
+                RetrievalStrategy::Single,
+                crate::ParallelConfig::SEQUENTIAL
+            )
             .unwrap());
         let miss = ValuePredicate::In(vec![Num::Int(-7)]);
         assert!(!store
-            .resolve_exists(&proxy, &miss, RetrievalStrategy::Single)
+            .resolve_exists(
+                &proxy,
+                &miss,
+                RetrievalStrategy::Single,
+                crate::ParallelConfig::SEQUENTIAL
+            )
             .unwrap());
         // Everything pruned: no statements reached the back-end.
         assert_eq!(store.last_stats().statements, 0);
@@ -1566,11 +1334,17 @@ mod tests {
             AggregateOp::Count,
         ] {
             let seq = store
-                .resolve_aggregate_filtered(&proxy, &pred, op, RetrievalStrategy::Single)
+                .resolve_aggregate_filtered(
+                    &proxy,
+                    &pred,
+                    op,
+                    RetrievalStrategy::Single,
+                    crate::ParallelConfig::SEQUENTIAL,
+                )
                 .unwrap();
             for workers in [2, 4, 8] {
                 let par = store
-                    .resolve_aggregate_filtered_parallel(
+                    .resolve_aggregate_filtered(
                         &proxy,
                         &pred,
                         op,
@@ -1598,7 +1372,13 @@ mod tests {
             hi: Num::Int(7),
         };
         let sum = store
-            .resolve_aggregate_filtered(&proxy, &pred, AggregateOp::Sum, RetrievalStrategy::Single)
+            .resolve_aggregate_filtered(
+                &proxy,
+                &pred,
+                AggregateOp::Sum,
+                RetrievalStrategy::Single,
+                crate::ParallelConfig::SEQUENTIAL,
+            )
             .unwrap();
         assert_eq!(sum, Num::Int(28));
         assert_eq!(store.last_stats().chunks_fetched, 1);

@@ -12,28 +12,43 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use ssdm_array::{AggregateOp, ArrayData, LinearRuns, Num, NumArray, NumericType};
+use ssdm_array::{AggregateOp, LinearRuns, Num, NumArray};
 
-use crate::apr::{ArrayStore, RetrievalStrategy};
-use crate::chunks::Chunking;
+use crate::apr::{decode_payload, gather, ArrayStore, ExecTally, RetrievalStrategy};
 use crate::meta::ArrayProxy;
 use crate::spd::{self, FetchOp};
 use crate::store::{ChunkStore, StorageError};
 use crate::Result;
 
+/// Decoded chunk payloads of a bag, by `(array, chunk)` key.
+type BagChunks = HashMap<(u64, u64), Vec<u8>>;
+
 impl<S: ChunkStore> ArrayStore<S> {
     /// Resolve every proxy in the bag, sharing back-end statements
-    /// across them. Returns the resident arrays in input order.
+    /// across them. Returns the resident arrays in input order;
+    /// [`last_stats`](Self::last_stats) covers the whole bag.
     pub fn resolve_bag(
         &mut self,
         proxies: &[ArrayProxy],
         strategy: RetrievalStrategy,
     ) -> Result<Vec<NumArray>> {
-        let chunks = self.fetch_bag(proxies, strategy)?;
-        proxies
+        let mark = self.mark();
+        let (chunks, tally) = self.fetch_bag(proxies, strategy)?;
+        let mut elements = 0;
+        let arrays = proxies
             .iter()
-            .map(|p| assemble(p, &chunks))
-            .collect::<Result<Vec<_>>>()
+            .map(|p| {
+                let meta = p.meta();
+                let addresses = p.view().addresses();
+                elements += addresses.len();
+                let data = gather(meta, &addresses, |c| {
+                    chunks.get(&(meta.array_id, c)).map(Vec::as_slice)
+                })?;
+                Ok(NumArray::from_data(data, &p.shape())?)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        self.finish_stats(mark, tally, elements, 0);
+        Ok(arrays)
     }
 
     /// Aggregate every proxy in the bag (AAPR over a bag): one shared
@@ -44,22 +59,18 @@ impl<S: ChunkStore> ArrayStore<S> {
         op: AggregateOp,
         strategy: RetrievalStrategy,
     ) -> Result<Vec<Num>> {
-        let chunks = self.fetch_bag(proxies, strategy)?;
-        proxies
+        self.resolve_bag(proxies, strategy)?
             .iter()
-            .map(|p| {
-                let a = assemble(p, &chunks)?;
-                a.aggregate(op).map_err(StorageError::Array)
-            })
+            .map(|a| a.aggregate(op).map_err(StorageError::Array))
             .collect()
     }
 
-    /// Fetch the union of chunks the bag needs.
+    /// Fetch the union of chunks the bag needs, decoded.
     fn fetch_bag(
-        &mut self,
+        &self,
         proxies: &[ArrayProxy],
         strategy: RetrievalStrategy,
-    ) -> Result<HashMap<(u64, u64), Vec<u8>>> {
+    ) -> Result<(BagChunks, ExecTally)> {
         // 1. The needed composite keys, in clustered order.
         let mut needed: BTreeSet<(u64, u64)> = BTreeSet::new();
         for p in proxies {
@@ -71,7 +82,7 @@ impl<S: ChunkStore> ArrayStore<S> {
             }
         }
         if needed.is_empty() {
-            return Ok(HashMap::new());
+            return Ok((HashMap::new(), ExecTally::default()));
         }
         // 2. Linearize composite keys into global clustered positions
         //    using the catalog's chunk counts (arrays sorted by id are
@@ -107,7 +118,7 @@ impl<S: ChunkStore> ArrayStore<S> {
         match strategy {
             RetrievalStrategy::Single => {
                 for &(a, c) in &needed {
-                    out.insert((a, c), self.backend_mut().get_chunk(a, c)?);
+                    out.insert((a, c), self.backend().get_chunk(a, c)?);
                 }
             }
             RetrievalStrategy::BufferedIn { buffer_size } => {
@@ -118,7 +129,7 @@ impl<S: ChunkStore> ArrayStore<S> {
                 }
                 for (a, cs) in per_array {
                     for batch in cs.chunks(buffer_size.max(1)) {
-                        for (c, payload) in self.backend_mut().get_chunks_in(a, batch)? {
+                        for (c, payload) in self.backend().get_chunks_in(a, batch)? {
                             out.insert((a, c), payload);
                         }
                     }
@@ -133,7 +144,7 @@ impl<S: ChunkStore> ArrayStore<S> {
                             let lo_key = delinearize(lo, &offsets);
                             let hi_key = delinearize(hi, &offsets);
                             for (k, payload) in
-                                self.backend_mut().get_composite_range(lo_key, hi_key)?
+                                self.backend().get_composite_range(lo_key, hi_key)?
                             {
                                 out.insert(k, payload);
                             }
@@ -152,9 +163,7 @@ impl<S: ChunkStore> ArrayStore<S> {
                                     .or_insert((c, c));
                             }
                             for (a, (clo, chi)) in per_array {
-                                for (c, payload) in
-                                    self.backend_mut().get_chunk_range(a, clo, chi)?
-                                {
+                                for (c, payload) in self.backend().get_chunk_range(a, clo, chi)? {
                                     out.insert((a, c), payload);
                                 }
                             }
@@ -165,7 +174,7 @@ impl<S: ChunkStore> ArrayStore<S> {
                             // arrays it spans.
                             let keys: Vec<(u64, u64)> =
                                 ids.iter().map(|&l| delinearize(l, &offsets)).collect();
-                            for (k, payload) in self.backend_mut().get_composite_in(&keys)? {
+                            for (k, payload) in self.backend().get_composite_in(&keys)? {
                                 out.insert(k, payload);
                             }
                         }
@@ -176,7 +185,7 @@ impl<S: ChunkStore> ArrayStore<S> {
                                 per_array.entry(a).or_default().push(c);
                             }
                             for (a, cs) in per_array {
-                                for (c, payload) in self.backend_mut().get_chunks_in(a, &cs)? {
+                                for (c, payload) in self.backend().get_chunks_in(a, &cs)? {
                                     out.insert((a, c), payload);
                                 }
                             }
@@ -184,7 +193,7 @@ impl<S: ChunkStore> ArrayStore<S> {
                     }
                 }
                 for (a, c) in unlinearizable {
-                    out.insert((a, c), self.backend_mut().get_chunk(a, c)?);
+                    out.insert((a, c), self.backend().get_chunk(a, c)?);
                 }
             }
             RetrievalStrategy::WholeArray => {
@@ -195,28 +204,30 @@ impl<S: ChunkStore> ArrayStore<S> {
                     if count == 0 {
                         continue;
                     }
-                    for (c, payload) in self.backend_mut().get_chunk_range(a, 0, count - 1)? {
+                    for (c, payload) in self.backend().get_chunk_range(a, 0, count - 1)? {
                         out.insert((a, c), payload);
                     }
                 }
             }
         }
-        // 4. Decode the SCC1 frames of encoded arrays in place — once
-        //    per fetched chunk, shared by every proxy that reads it.
-        //    Chunks overfetched from arrays outside the bag stay as
-        //    stored (`assemble` never reads them).
+        // 4. Decode the SCC1 frames the bag needs — once per chunk,
+        //    shared by every proxy that reads it. Chunks a covering
+        //    range overfetched are dropped undecoded.
         let encoded: HashMap<u64, bool> = proxies
             .iter()
             .map(|p| (p.array_id(), p.meta().encoded))
             .collect();
-        for (&(a, c), payload) in out.iter_mut() {
-            if encoded.get(&a).copied().unwrap_or(false) {
-                let frame = std::mem::take(payload);
-                let (raw, _) = crate::apr::decode_payload(true, frame, a, c)?;
-                *payload = raw;
-            }
+        let mut tally = ExecTally::default();
+        let mut chunks = HashMap::with_capacity(needed.len());
+        for key @ (a, c) in needed {
+            let Some(payload) = out.remove(&key) else {
+                continue; // not returned: gathering reports it missing
+            };
+            let (raw, bytes) = decode_payload(encoded[&a], payload, a, c)?;
+            tally.note_decode(bytes);
+            chunks.insert(key, raw);
         }
-        Ok(out)
+        Ok((chunks, tally))
     }
 }
 
@@ -227,40 +238,6 @@ fn delinearize(linear: u64, offsets: &BTreeMap<u64, u64>) -> (u64, u64) {
         .rfind(|(_, &o)| o <= linear)
         .expect("offsets start at 0");
     (array_id, linear - off)
-}
-
-/// Build one proxy's resident array from the fetched chunk map.
-fn assemble(proxy: &ArrayProxy, chunks: &HashMap<(u64, u64), Vec<u8>>) -> Result<NumArray> {
-    let meta = proxy.meta();
-    let chunking: Chunking = meta.chunking;
-    let addresses = proxy.view().addresses();
-    let mut nums = Vec::with_capacity(addresses.len());
-    for a in addresses {
-        let cid = chunking.chunk_of(a);
-        let payload = chunks
-            .get(&(meta.array_id, cid))
-            .ok_or(StorageError::MissingChunk {
-                array_id: meta.array_id,
-                chunk_id: cid,
-            })?;
-        let (start, _) = chunking.chunk_span(cid);
-        let off = a - start;
-        let bytes = payload
-            .get(off * 8..off * 8 + 8)
-            .ok_or(StorageError::MissingChunk {
-                array_id: meta.array_id,
-                chunk_id: cid,
-            })?;
-        nums.push(match meta.numeric_type {
-            NumericType::Int => Num::Int(i64::from_le_bytes(bytes.try_into().expect("8 bytes"))),
-            NumericType::Real => Num::Real(f64::from_le_bytes(bytes.try_into().expect("8 bytes"))),
-        });
-    }
-    let data = match meta.numeric_type {
-        NumericType::Int => ArrayData::from_i64(nums.iter().map(|n| n.as_i64()).collect()),
-        NumericType::Real => ArrayData::from_f64(nums.iter().map(|n| n.as_f64()).collect()),
-    };
-    NumArray::from_data(data, &proxy.shape()).map_err(StorageError::Array)
 }
 
 #[cfg(test)]
@@ -298,7 +275,9 @@ mod tests {
         ] {
             let bag = store.resolve_bag(&views, strategy).unwrap();
             for (v, got) in views.iter().zip(&bag) {
-                let individually = store.resolve(v, strategy).unwrap();
+                let individually = store
+                    .resolve(v, strategy, crate::ParallelConfig::SEQUENTIAL)
+                    .unwrap();
                 assert!(got.array_eq(&individually), "{}", strategy.name());
             }
         }
@@ -331,6 +310,7 @@ mod tests {
                     RetrievalStrategy::SpdRange {
                         options: SpdOptions::default(),
                     },
+                    crate::ParallelConfig::SEQUENTIAL,
                 )
                 .unwrap();
         }
@@ -398,6 +378,41 @@ mod tests {
         assert_eq!(bag.len(), 50);
         assert_eq!(bag[7].elements()[2], Num::Int(702));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn bag_records_stats() {
+        let (mut store, proxies) = store_with_fleet(RelChunkStore::open_memory().unwrap());
+        // A single-array resolve first, so stale stats would show.
+        store
+            .resolve(
+                &proxies[0],
+                RetrievalStrategy::Single,
+                crate::ParallelConfig::SEQUENTIAL,
+            )
+            .unwrap();
+        let before = store.backend().io_stats();
+        store
+            .resolve_bag(
+                &proxies,
+                RetrievalStrategy::SpdRange {
+                    options: SpdOptions::default(),
+                },
+            )
+            .unwrap();
+        let after = store.backend().io_stats();
+        let st = store.last_stats();
+        assert_eq!(st.statements, after.statements - before.statements);
+        assert_eq!(
+            st.chunks_fetched,
+            after.chunks_returned - before.chunks_returned
+        );
+        // Every fetched chunk is an SCC1 frame the bag needs.
+        assert_eq!(
+            st.chunks_decoded,
+            after.chunks_returned - before.chunks_returned
+        );
+        assert_eq!(st.elements_resolved, 50 * 8);
     }
 
     #[test]

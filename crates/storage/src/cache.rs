@@ -13,8 +13,8 @@
 //! * **sharding** — entries hash across independently locked shards,
 //!   so concurrent readers (the parallel retrieval pipeline) rarely
 //!   contend on the same mutex;
-//! * **composition** — the wrapper is itself a [`ChunkStore`] (and a
-//!   [`SharedChunkRead`] when the inner store is), so it stacks above
+//! * **composition** — the wrapper is itself a [`ChunkStore`], so it
+//!   stacks above
 //!   [`ResilientChunkStore`](crate::ResilientChunkStore): a chunk the
 //!   resilient layer repaired through retries is cached and never
 //!   re-fetched.
@@ -36,7 +36,7 @@ use ssdm_obs as obs;
 
 use crate::codec;
 use crate::store::{
-    Capabilities, ChunkStore, CompositeRows, IoStats, RawChunkAccess, SharedChunkRead, StorageError,
+    Capabilities, ChunkRows, ChunkStore, CompositeRows, IoStats, RawChunkAccess, StorageError,
 };
 
 /// Number of independently locked shards. A small power of two: enough
@@ -386,7 +386,7 @@ impl<S: ChunkStore> ChunkStore for CachedChunkStore<S> {
         Ok(())
     }
 
-    fn get_chunk(&mut self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
+    fn get_chunk(&self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
         if let Some(hit) = self.cache.get(array_id, chunk_id) {
             return Ok(hit);
         }
@@ -395,22 +395,13 @@ impl<S: ChunkStore> ChunkStore for CachedChunkStore<S> {
         Ok(data)
     }
 
-    fn get_chunks_in(
-        &mut self,
-        array_id: u64,
-        chunk_ids: &[u64],
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
+    fn get_chunks_in(&self, array_id: u64, chunk_ids: &[u64]) -> Result<ChunkRows, StorageError> {
         batched_get(&self.cache, array_id, chunk_ids, |missing| {
             self.inner.get_chunks_in(array_id, missing)
         })
     }
 
-    fn get_chunk_range(
-        &mut self,
-        array_id: u64,
-        lo: u64,
-        hi: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
+    fn get_chunk_range(&self, array_id: u64, lo: u64, hi: u64) -> Result<ChunkRows, StorageError> {
         range_get(&self.cache, array_id, lo, hi, || {
             self.inner.get_chunk_range(array_id, lo, hi)
         })
@@ -422,7 +413,7 @@ impl<S: ChunkStore> ChunkStore for CachedChunkStore<S> {
     }
 
     fn get_composite_range(
-        &mut self,
+        &self,
         lo: (u64, u64),
         hi: (u64, u64),
     ) -> Result<CompositeRows, StorageError> {
@@ -435,7 +426,7 @@ impl<S: ChunkStore> ChunkStore for CachedChunkStore<S> {
         Ok(rows)
     }
 
-    fn get_composite_in(&mut self, keys: &[(u64, u64)]) -> Result<CompositeRows, StorageError> {
+    fn get_composite_in(&self, keys: &[(u64, u64)]) -> Result<CompositeRows, StorageError> {
         let rows = self.inner.get_composite_in(keys)?;
         for ((a, c), data) in &rows {
             self.cache.insert(*a, *c, data);
@@ -482,38 +473,6 @@ impl<S: ChunkStore> ChunkStore for CachedChunkStore<S> {
     }
 }
 
-impl<S: SharedChunkRead> SharedChunkRead for CachedChunkStore<S> {
-    fn read_chunk(&self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
-        if let Some(hit) = self.cache.get(array_id, chunk_id) {
-            return Ok(hit);
-        }
-        let data = self.inner.read_chunk(array_id, chunk_id)?;
-        self.cache.insert(array_id, chunk_id, &data);
-        Ok(data)
-    }
-
-    fn read_chunks_in(
-        &self,
-        array_id: u64,
-        chunk_ids: &[u64],
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        batched_get(&self.cache, array_id, chunk_ids, |missing| {
-            self.inner.read_chunks_in(array_id, missing)
-        })
-    }
-
-    fn read_chunk_range(
-        &self,
-        array_id: u64,
-        lo: u64,
-        hi: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        range_get(&self.cache, array_id, lo, hi, || {
-            self.inner.read_chunk_range(array_id, lo, hi)
-        })
-    }
-}
-
 impl<S: RawChunkAccess> RawChunkAccess for CachedChunkStore<S> {
     fn flip_stored_bit(
         &mut self,
@@ -539,8 +498,8 @@ fn batched_get(
     cache: &ChunkCache,
     array_id: u64,
     chunk_ids: &[u64],
-    fetch_missing: impl FnOnce(&[u64]) -> Result<Vec<(u64, Vec<u8>)>, StorageError>,
-) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
+    fetch_missing: impl FnOnce(&[u64]) -> Result<ChunkRows, StorageError>,
+) -> Result<ChunkRows, StorageError> {
     let mut found: HashMap<u64, Vec<u8>> = HashMap::new();
     let mut missing = Vec::new();
     for &c in chunk_ids {
@@ -572,8 +531,8 @@ fn range_get(
     array_id: u64,
     lo: u64,
     hi: u64,
-    fetch: impl FnOnce() -> Result<Vec<(u64, Vec<u8>)>, StorageError>,
-) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
+    fetch: impl FnOnce() -> Result<ChunkRows, StorageError>,
+) -> Result<ChunkRows, StorageError> {
     if lo > hi {
         // A reversed span is empty. Guarding here also keeps the
         // `hi - lo + 1` width below from underflowing into a huge

@@ -16,21 +16,21 @@
 //!   call (1-based) of an op kind to fail with a specific flavor,
 //!   regardless of probability. Scripted entries win over dice.
 //!
-//! Corruption is injected *at rest* through [`RawChunkAccess`]: the
-//! injector flips one bit of the stored frame, lets the back-end's own
-//! CRC32 verification trip over it, and then restores the bit — the
-//! model is a bit flipped in transit (bus, wire, page cache), which a
-//! re-read does not see. The detection path exercised is exactly the
-//! production one. Latency spikes reuse [`relstore::busy_wait`], the
-//! same calibrated-delay machinery as the statement latency model.
+//! A [`FaultKind::BitFlip`] is corruption *in transit* (bus, wire, page
+//! cache): the read fails with the [`StorageError::Corrupt`] a CRC32
+//! check raises for a damaged frame, while the stored bytes stay intact,
+//! so a re-read succeeds. Corruption *at rest* — a flipped stored bit
+//! that persists until rewritten — stays reachable through
+//! [`RawChunkAccess`], which the injector forwards to its inner store.
+//! Latency spikes reuse [`relstore::busy_wait`], the same
+//! calibrated-delay machinery as the statement latency model.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::resilient::ResilienceStats;
 use crate::store::{
-    Capabilities, ChunkStore, CompositeRows, IoStats, RawChunkAccess, SharedChunkRead, StorageError,
+    Capabilities, ChunkRows, ChunkStore, CompositeRows, IoStats, RawChunkAccess, StorageError,
 };
 
 /// The flavors of injectable fault.
@@ -45,9 +45,9 @@ pub enum FaultKind {
     /// A short read ([`StorageError::ShortRead`]): the transfer was cut
     /// off below the promised length. Retrying succeeds.
     ShortRead,
-    /// One bit of the stored frame flips before the read and is restored
-    /// after it (in-transit corruption). The back-end's checksum turns
-    /// this into [`StorageError::Corrupt`]; retrying succeeds.
+    /// One bit of the frame flips in transit: the read fails with the
+    /// [`StorageError::Corrupt`] the checksum raises for it. Stored bytes
+    /// are untouched, so retrying succeeds.
     BitFlip,
     /// The chunk is reported absent ([`StorageError::MissingChunk`]) —
     /// a *permanent* error the retry layer must NOT retry.
@@ -211,22 +211,16 @@ fn splitmix64(seed: u64, counter: u64) -> u64 {
 }
 
 /// A [`ChunkStore`] decorator that injects faults per a [`FaultPlan`].
-///
-/// The `RawChunkAccess` bound is what lets [`FaultKind::BitFlip`]
-/// corrupt the *stored* representation so the back-end's own checksum
-/// verification — the code path a real corruption would take — raises
-/// the error.
-pub struct FaultInjectingChunkStore<S: ChunkStore + RawChunkAccess> {
+pub struct FaultInjectingChunkStore<S: ChunkStore> {
     inner: S,
     plan: FaultPlan,
-    /// Counters behind a mutex so the shared-read paths can draw from
-    /// many worker threads at once. The decision stream stays counter-
+    /// Counters behind a mutex so reads can draw from many worker
+    /// threads at once. The decision stream stays counter-
     /// indexed, so fault *totals* are schedule-independent; which
     /// concurrent operation draws which fault is scheduling-dependent.
     state: Mutex<FaultState>,
-    /// Disarms injection while the injector calls back into itself
-    /// (bit-flip restore paths must not draw new faults).
-    disarmed: AtomicBool,
+    /// Injection switched off by [`Self::disarm`].
+    disarmed: bool,
     /// Whether [`Capabilities::supports_parallel`] is advertised; off by
     /// default so existing capability-downgrade behavior is unchanged.
     parallel_ok: bool,
@@ -241,13 +235,13 @@ struct FaultState {
     stats: FaultStats,
 }
 
-impl<S: ChunkStore + RawChunkAccess> FaultInjectingChunkStore<S> {
+impl<S: ChunkStore> FaultInjectingChunkStore<S> {
     pub fn new(inner: S, plan: FaultPlan) -> Self {
         FaultInjectingChunkStore {
             inner,
             plan,
             state: Mutex::new(FaultState::default()),
-            disarmed: AtomicBool::new(false),
+            disarmed: false,
             parallel_ok: false,
         }
     }
@@ -279,15 +273,15 @@ impl<S: ChunkStore + RawChunkAccess> FaultInjectingChunkStore<S> {
     /// Stop injecting (keeps counters); useful to compare faulty and
     /// clean phases on one store.
     pub fn disarm(&mut self) {
-        self.disarmed.store(true, Ordering::Relaxed);
+        self.disarmed = true;
     }
 
     pub fn arm(&mut self) {
-        self.disarmed.store(false, Ordering::Relaxed);
+        self.disarmed = false;
     }
 
     /// Advertise [`Capabilities::supports_parallel`], letting callers
-    /// route concurrent shared reads through the injector. Opt-in: the
+    /// route concurrent reads through the injector. Opt-in: the
     /// per-operation fault *schedule* then depends on thread timing
     /// (totals stay deterministic), so tests that assert exact per-call
     /// placement should leave it off.
@@ -298,7 +292,7 @@ impl<S: ChunkStore + RawChunkAccess> FaultInjectingChunkStore<S> {
     /// Decide the fault (if any) for the current call of `op`. Returns
     /// the drawn fault and the call number (for derived draws).
     fn draw(&self, op: OpKind) -> Option<(FaultKind, u64)> {
-        if self.disarmed.load(Ordering::Relaxed) {
+        if self.disarmed {
             return None;
         }
         let mut state = self.state.lock().expect("fault state");
@@ -349,7 +343,7 @@ impl<S: ChunkStore + RawChunkAccess> FaultInjectingChunkStore<S> {
     /// Apply a drawn fault to an operation touching `(array_id,
     /// chunk_id)` (a representative chunk for batched ops). Returns
     /// `None` when the operation should proceed normally (latency spike
-    /// already charged, or bit already flipped at rest).
+    /// already charged).
     fn pre_fault(
         &self,
         kind: FaultKind,
@@ -373,40 +367,7 @@ impl<S: ChunkStore + RawChunkAccess> FaultInjectingChunkStore<S> {
                 got: 17,
             }),
             FaultKind::Missing => Some(StorageError::MissingChunk { array_id, chunk_id }),
-            FaultKind::BitFlip => None, // handled around the inner call
-        }
-    }
-
-    /// Run a read-class operation with fault injection. `target` names a
-    /// representative chunk for error attribution and bit flipping.
-    fn read_op<T>(
-        &mut self,
-        target: (u64, u64),
-        op: impl FnOnce(&mut S) -> Result<T, StorageError>,
-    ) -> Result<T, StorageError> {
-        match self.draw(OpKind::Read) {
-            None => op(&mut self.inner),
-            Some((FaultKind::BitFlip, calls)) => {
-                self.record_injected(FaultKind::BitFlip);
-                // Corrupt at rest, read through the back-end's checksum
-                // path, then restore: in-transit corruption semantics.
-                let bit = splitmix64(self.plan.seed ^ 0xB17F, calls) | 1;
-                let flipped = self
-                    .inner
-                    .flip_stored_bit(target.0, target.1, bit)
-                    .unwrap_or(false);
-                let result = op(&mut self.inner);
-                if flipped {
-                    self.inner.flip_stored_bit(target.0, target.1, bit)?;
-                }
-                // A frame is CRC-protected end to end, so the flip must
-                // surface as an error; pass whatever the back-end said.
-                result
-            }
-            Some((kind, calls)) => match self.pre_fault(kind, target.0, target.1, calls) {
-                Some(err) => Err(err),
-                None => op(&mut self.inner),
-            },
+            FaultKind::BitFlip => None, // handled by the read path
         }
     }
 
@@ -424,15 +385,12 @@ impl<S: ChunkStore + RawChunkAccess> FaultInjectingChunkStore<S> {
             },
         }
     }
-}
 
-impl<S: ChunkStore + RawChunkAccess + SharedChunkRead> FaultInjectingChunkStore<S> {
-    /// The shared-read twin of [`Self::read_op`]. Bit flips cannot touch
-    /// the at-rest representation here (that needs `&mut`), so the
-    /// injector fabricates the [`StorageError::Corrupt`] the checksum
-    /// would have raised for an in-transit flip — same error class, same
-    /// transience, no stored state mutated, so a retry succeeds exactly
-    /// as it does on the exclusive path.
+    /// Run a read-class operation with fault injection. `target` names a
+    /// representative chunk for error attribution. A bit flip raises the
+    /// [`StorageError::Corrupt`] the checksum would have raised for an
+    /// in-transit flip — same error class, same transience, no stored
+    /// state mutated, so a retry succeeds.
     fn shared_read_op<T>(
         &self,
         target: (u64, u64),
@@ -456,33 +414,7 @@ impl<S: ChunkStore + RawChunkAccess + SharedChunkRead> FaultInjectingChunkStore<
     }
 }
 
-impl<S: ChunkStore + RawChunkAccess + SharedChunkRead> SharedChunkRead
-    for FaultInjectingChunkStore<S>
-{
-    fn read_chunk(&self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
-        self.shared_read_op((array_id, chunk_id), |s| s.read_chunk(array_id, chunk_id))
-    }
-
-    fn read_chunks_in(
-        &self,
-        array_id: u64,
-        chunk_ids: &[u64],
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        let rep = chunk_ids.first().copied().unwrap_or(0);
-        self.shared_read_op((array_id, rep), |s| s.read_chunks_in(array_id, chunk_ids))
-    }
-
-    fn read_chunk_range(
-        &self,
-        array_id: u64,
-        lo: u64,
-        hi: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        self.shared_read_op((array_id, lo), |s| s.read_chunk_range(array_id, lo, hi))
-    }
-}
-
-impl<S: ChunkStore + RawChunkAccess> ChunkStore for FaultInjectingChunkStore<S> {
+impl<S: ChunkStore> ChunkStore for FaultInjectingChunkStore<S> {
     fn begin_array(&mut self, array_id: u64, chunk_bytes: usize) -> Result<(), StorageError> {
         self.plain_op(OpKind::Admin, (array_id, 0), |s| {
             s.begin_array(array_id, chunk_bytes)
@@ -495,39 +427,30 @@ impl<S: ChunkStore + RawChunkAccess> ChunkStore for FaultInjectingChunkStore<S> 
         })
     }
 
-    fn get_chunk(&mut self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
-        self.read_op((array_id, chunk_id), |s| s.get_chunk(array_id, chunk_id))
+    fn get_chunk(&self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
+        self.shared_read_op((array_id, chunk_id), |s| s.get_chunk(array_id, chunk_id))
     }
 
-    fn get_chunks_in(
-        &mut self,
-        array_id: u64,
-        chunk_ids: &[u64],
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
+    fn get_chunks_in(&self, array_id: u64, chunk_ids: &[u64]) -> Result<ChunkRows, StorageError> {
         let rep = chunk_ids.first().copied().unwrap_or(0);
-        self.read_op((array_id, rep), |s| s.get_chunks_in(array_id, chunk_ids))
+        self.shared_read_op((array_id, rep), |s| s.get_chunks_in(array_id, chunk_ids))
     }
 
-    fn get_chunk_range(
-        &mut self,
-        array_id: u64,
-        lo: u64,
-        hi: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        self.read_op((array_id, lo), |s| s.get_chunk_range(array_id, lo, hi))
+    fn get_chunk_range(&self, array_id: u64, lo: u64, hi: u64) -> Result<ChunkRows, StorageError> {
+        self.shared_read_op((array_id, lo), |s| s.get_chunk_range(array_id, lo, hi))
     }
 
     fn get_composite_range(
-        &mut self,
+        &self,
         lo: (u64, u64),
         hi: (u64, u64),
     ) -> Result<CompositeRows, StorageError> {
-        self.read_op(lo, |s| s.get_composite_range(lo, hi))
+        self.shared_read_op(lo, |s| s.get_composite_range(lo, hi))
     }
 
-    fn get_composite_in(&mut self, keys: &[(u64, u64)]) -> Result<CompositeRows, StorageError> {
+    fn get_composite_in(&self, keys: &[(u64, u64)]) -> Result<CompositeRows, StorageError> {
         let rep = keys.first().copied().unwrap_or((0, 0));
-        self.read_op(rep, |s| s.get_composite_in(keys))
+        self.shared_read_op(rep, |s| s.get_composite_in(keys))
     }
 
     fn delete_array(&mut self, array_id: u64, chunk_count: u64) -> Result<(), StorageError> {
@@ -539,8 +462,8 @@ impl<S: ChunkStore + RawChunkAccess> ChunkStore for FaultInjectingChunkStore<S> 
     fn capabilities(&self) -> Capabilities {
         Capabilities {
             // The injector's deterministic fault schedule is keyed to
-            // operation order, which concurrent shared reads scramble —
-            // callers take the sequential path unless the test opted in
+            // operation order, which concurrent reads scramble — the APR
+            // runs on one worker unless the test opted in
             // via [`Self::enable_parallel`] (fault totals stay exact
             // either way; per-call placement does not).
             supports_parallel: self.parallel_ok && self.inner.capabilities().supports_parallel,
@@ -601,7 +524,7 @@ mod tests {
     #[test]
     fn schedules_are_deterministic() {
         let run = || {
-            let mut s = seeded_store(FaultPlan::transient_reads(42, 0.35));
+            let s = seeded_store(FaultPlan::transient_reads(42, 0.35));
             (0..60u64)
                 .map(|i| s.get_chunk(1, i % 20).is_ok())
                 .collect::<Vec<bool>>()
@@ -616,7 +539,7 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         let run = |seed| {
-            let mut s = seeded_store(FaultPlan::transient_reads(seed, 0.35));
+            let s = seeded_store(FaultPlan::transient_reads(seed, 0.35));
             (0..60u64)
                 .map(|i| s.get_chunk(1, i % 20).is_ok())
                 .collect::<Vec<bool>>()
@@ -626,7 +549,7 @@ mod tests {
 
     #[test]
     fn zero_rate_injects_nothing() {
-        let mut s = seeded_store(FaultPlan::transient_reads(7, 0.0));
+        let s = seeded_store(FaultPlan::transient_reads(7, 0.0));
         for i in 0..50u64 {
             s.get_chunk(1, i % 20).unwrap();
         }
@@ -639,7 +562,7 @@ mod tests {
         let plan = FaultPlan::scripted(0, vec![])
             .fail_nth(OpKind::Read, 2, FaultKind::Transient)
             .fail_nth(OpKind::Read, 4, FaultKind::Missing);
-        let mut s = seeded_store(plan);
+        let s = seeded_store(plan);
         assert!(s.get_chunk(1, 0).is_ok());
         assert!(matches!(s.get_chunk(1, 0), Err(StorageError::Transient(_))));
         assert!(s.get_chunk(1, 0).is_ok());
@@ -657,7 +580,7 @@ mod tests {
     #[test]
     fn bit_flip_is_detected_and_transient() {
         let plan = FaultPlan::scripted(9, vec![]).fail_nth(OpKind::Read, 1, FaultKind::BitFlip);
-        let mut s = seeded_store(plan);
+        let s = seeded_store(plan);
         let err = s.get_chunk(1, 3).unwrap_err();
         assert!(
             matches!(err, StorageError::Corrupt { .. }),
@@ -673,7 +596,7 @@ mod tests {
         let plan = FaultPlan::scripted(0, vec![])
             .fail_nth(OpKind::Read, 1, FaultKind::ShortRead)
             .fail_nth(OpKind::Read, 2, FaultKind::LatencySpike);
-        let mut s = seeded_store(plan);
+        let s = seeded_store(plan);
         assert!(matches!(
             s.get_chunk(1, 0),
             Err(StorageError::ShortRead { .. })
@@ -686,7 +609,7 @@ mod tests {
     #[test]
     fn batched_reads_draw_one_decision_per_statement() {
         let plan = FaultPlan::scripted(0, vec![]).fail_nth(OpKind::Read, 1, FaultKind::Transient);
-        let mut s = seeded_store(plan);
+        let s = seeded_store(plan);
         assert!(s.get_chunks_in(1, &[0, 1, 2, 3]).is_err());
         assert_eq!(s.get_chunks_in(1, &[0, 1, 2, 3]).unwrap().len(), 4);
         assert_eq!(s.fault_stats().ops[OpKind::Read.index()], 2);
@@ -694,7 +617,7 @@ mod tests {
 
     #[test]
     fn observed_rate_tracks_plan_rate() {
-        let mut s = seeded_store(FaultPlan::transient_reads(1234, 0.10));
+        let s = seeded_store(FaultPlan::transient_reads(1234, 0.10));
         let mut failures = 0;
         for i in 0..2000u64 {
             match s.get_chunk(1, i % 20) {

@@ -51,7 +51,7 @@ pub use resilient::{ResilienceStats, ResilientChunkStore, RetryPolicy};
 pub use shard::{ShardHealth, ShardOptions, ShardStats, ShardedChunkStore};
 pub use store::{
     Capabilities, ChunkStore, FileChunkStore, IoStats, MemoryChunkStore, RawChunkAccess,
-    RelChunkStore, SharedChunkRead, SharedChunkStore, StorageError,
+    RelChunkStore, StorageError,
 };
 pub use wal::{
     CrashPlan, FsyncPolicy, WalOptions, WalReader, WalRecord, WalRecovery, WalStats, WalWriter,

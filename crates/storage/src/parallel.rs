@@ -1,48 +1,50 @@
-//! The parallel chunk-retrieval pipeline.
+//! The chunk-retrieval pipeline under the APR executor.
 //!
 //! The APR fetch plan is a list of independent back-end statements
 //! ([`FetchOp`]s) — one per chunk under `Single`, one per batch under
-//! `BufferedIn`, one per detected run under `SpdRange`. Sequential APR
-//! executes them one at a time, so total latency is the *sum* of the
-//! round trips. This module partitions the plan across a scoped worker
-//! pool over the [`SharedChunkRead`] contract, so round trips (and the
-//! CRC32 frame verification of their results, which happens on each
-//! worker) overlap; the assembled result is **bit-identical** to the
-//! sequential path and the back-end's [`IoStats`](crate::IoStats)
-//! accounting stays exact, because exactly the same statements execute —
-//! just concurrently.
+//! `BufferedIn`, one per detected run under `SpdRange`. This module
+//! partitions the plan across a scoped worker pool over the `&self`
+//! reads of [`ChunkStore`], so round trips (and the CRC32 frame
+//! verification of their results, which happens on each worker)
+//! overlap. With one worker the ops run in plan order on the calling
+//! thread — that *is* the sequential path. Results come back per op in
+//! plan order, so assembly is **bit-identical** for every worker count,
+//! and the back-end's [`IoStats`](crate::IoStats) accounting stays
+//! exact, because exactly the same statements execute — just
+//! concurrently.
 //!
-//! The per-op fallback contract of
-//! `ArrayStore::execute_with_fallback` is preserved: a failed *batched*
-//! statement degrades to per-chunk retrieval of the needed ids it
-//! covered, inside the worker that claimed it. Errors that survive the
-//! fallback are reported deterministically — the failing op earliest in
-//! plan order wins, regardless of worker timing.
+//! A failed *batched* statement (an `IN`-list of several ids, or a
+//! range) degrades to per-chunk retrieval of the needed ids it covered,
+//! inside the worker that claimed it, so a corrupt or unavailable chunk
+//! that was only *overfetched* by a covering range cannot sink a query
+//! that never needed it. Errors that survive the fallback are reported
+//! deterministically — the failing op earliest in plan order wins,
+//! regardless of worker timing.
 //!
-//! Back-ends opt in via [`Capabilities::supports_parallel`]
-//! (austere or fault-injecting stacks leave it unset and callers
-//! degrade to sequential resolution).
+//! Back-ends opt in to more than one worker via
+//! [`Capabilities::supports_parallel`] (austere or fault-injecting
+//! stacks leave it unset and the APR executor clamps to one worker).
 //!
 //! [`Capabilities::supports_parallel`]: crate::Capabilities::supports_parallel
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use ssdm_array::pool;
 use ssdm_obs as obs;
 
 use crate::spd::FetchOp;
-use crate::store::{ChunkRows, SharedChunkRead};
+use crate::store::{ChunkRows, ChunkStore};
 use crate::Result;
 
 /// Process-wide count of batched statements that degraded to per-chunk
-/// fallback retrieval (all parallel fetch pipelines).
+/// fallback retrieval (every APR resolution, any worker count).
 fn obs_apr_fallbacks() -> &'static Arc<obs::Counter> {
     static C: OnceLock<Arc<obs::Counter>> = OnceLock::new();
     C.get_or_init(|| obs::recorder().counter("ssdm_apr_fallbacks"))
 }
 
-/// Tuning for parallel resolution.
+/// Tuning for APR resolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Worker threads to partition the fetch plan across. `0` or `1`
@@ -57,6 +59,9 @@ impl Default for ParallelConfig {
 }
 
 impl ParallelConfig {
+    /// One worker: the plan runs in order on the calling thread.
+    pub const SEQUENTIAL: ParallelConfig = ParallelConfig { workers: 1 };
+
     pub fn with_workers(workers: usize) -> Self {
         ParallelConfig { workers }
     }
@@ -68,53 +73,64 @@ impl ParallelConfig {
 ///
 /// Workers claim ops from a shared cursor (work stealing by exhaustion,
 /// so a slow range statement does not idle the pool), execute them
-/// through the `&self` read contract, and deposit results into the
-/// op's slot; assembly then walks the slots in plan order, which makes
-/// both the row order and the choice of reported error independent of
-/// thread scheduling.
-pub fn fetch_plan<S: SharedChunkRead + ?Sized>(
+/// through the `&self` reads, and deposit results into the op's slot;
+/// assembly then walks the slots in plan order, which makes both the
+/// row order and the choice of reported error independent of thread
+/// scheduling.
+pub fn fetch_plan<S: ChunkStore + ?Sized>(
     backend: &S,
     array_id: u64,
     plan: &[FetchOp],
     needed: &[u64],
     workers: usize,
 ) -> Result<(Vec<ChunkRows>, u64)> {
-    run_plan(backend, array_id, plan, needed, workers, |_, rows| Ok(rows))
+    let limit = AtomicUsize::new(usize::MAX);
+    let (results, fallbacks) = run_plan(
+        backend,
+        array_id,
+        plan,
+        needed,
+        workers,
+        &limit,
+        |_, rows| Ok(rows),
+    );
+    Ok((results.into_iter().collect::<Result<_>>()?, fallbacks))
 }
 
 /// The generalized pipeline under [`fetch_plan`]: each claimed op's
 /// rows are handed to `process` *inside the worker that fetched them*,
-/// so per-chunk work (CRC verification, decoding, partial aggregate
-/// folds — see `ArrayStore::resolve_aggregate_parallel`) overlaps the
-/// round trips of the other ops and the payloads can be dropped without
-/// ever being assembled centrally. `process` receives the op's plan
-/// index; results return per op in plan order, and the earliest op's
-/// error (fetch or process) wins deterministically.
+/// so per-chunk work (decoding, gathering, partial aggregate folds —
+/// see the APR executor in [`crate::apr`]) overlaps the round trips of
+/// the other ops and the payloads can be dropped without ever being
+/// assembled centrally. `process` receives the op's plan index.
+///
+/// Ops whose index is at or above `limit` when they are claimed are
+/// skipped and yield `T::default()`; lowering `limit` from inside
+/// `process` is how an existence scan stops claiming ops after its
+/// first match. Returns each op's result in plan order (callers pick
+/// the earliest error) and the number of batched-statement fallbacks.
 pub fn run_plan<S, T, F>(
     backend: &S,
     array_id: u64,
     plan: &[FetchOp],
     needed: &[u64],
     workers: usize,
+    limit: &AtomicUsize,
     process: F,
-) -> Result<(Vec<T>, u64)>
+) -> (Vec<Result<T>>, u64)
 where
-    S: SharedChunkRead + ?Sized,
-    T: Send,
+    S: ChunkStore + ?Sized,
+    T: Send + Default,
     F: Fn(usize, ChunkRows) -> Result<T> + Sync,
 {
     let fallbacks = AtomicU64::new(0);
     let results = scatter_gather(workers, plan, |i, op| {
+        if i >= limit.load(Ordering::Relaxed) {
+            return Ok(T::default());
+        }
         execute_one(backend, array_id, op, needed, &fallbacks).and_then(|rows| process(i, rows))
     });
-    let mut out = Vec::with_capacity(plan.len());
-    for r in results {
-        // Plan-order iteration: the earliest failing op's error is the
-        // one reported, matching what sequential execution would hit
-        // first.
-        out.push(r?);
-    }
-    Ok((out, fallbacks.load(Ordering::Relaxed)))
+    (results, fallbacks.into_inner())
 }
 
 /// The scatter-gather engine under [`run_plan`], generalized from "N
@@ -149,9 +165,9 @@ where
         .collect()
 }
 
-/// Execute one fetch op with the same statement shapes and batched-
-/// statement fallback as the sequential `execute_with_fallback`.
-fn execute_one<S: SharedChunkRead + ?Sized>(
+/// Execute one fetch op, degrading a failed batched statement to
+/// per-chunk reads of the needed ids it covered.
+fn execute_one<S: ChunkStore + ?Sized>(
     backend: &S,
     array_id: u64,
     op: &FetchOp,
@@ -164,11 +180,11 @@ fn execute_one<S: SharedChunkRead + ?Sized>(
         FetchOp::In(ids) => ids.len() > 1,
     };
     let direct = match op {
-        FetchOp::Range { lo, hi } => backend.read_chunk_range(array_id, *lo, *hi),
+        FetchOp::Range { lo, hi } => backend.get_chunk_range(array_id, *lo, *hi),
         FetchOp::In(ids) if ids.len() == 1 => backend
-            .read_chunk(array_id, ids[0])
+            .get_chunk(array_id, ids[0])
             .map(|d| vec![(ids[0], d)]),
-        FetchOp::In(ids) => backend.read_chunks_in(array_id, ids),
+        FetchOp::In(ids) => backend.get_chunks_in(array_id, ids),
     };
     match direct {
         Ok(rows) => Ok(rows),
@@ -187,7 +203,7 @@ fn execute_one<S: SharedChunkRead + ?Sized>(
                     .collect(),
             };
             ids.into_iter()
-                .map(|c| backend.read_chunk(array_id, c).map(|d| (c, d)))
+                .map(|c| backend.get_chunk(array_id, c).map(|d| (c, d)))
                 .collect()
         }
     }
@@ -195,7 +211,7 @@ fn execute_one<S: SharedChunkRead + ?Sized>(
 
 /// Convenience used by tests and callers that want a flat map of chunk
 /// id → payload from a parallel fetch.
-pub fn fetch_plan_merged<S: SharedChunkRead + ?Sized>(
+pub fn fetch_plan_merged<S: ChunkStore + ?Sized>(
     backend: &S,
     array_id: u64,
     plan: &[FetchOp],
@@ -212,13 +228,6 @@ pub fn fetch_plan_merged<S: SharedChunkRead + ?Sized>(
     Ok((out, fallbacks))
 }
 
-// An explicit sanity check that the trait object is usable across
-// threads the way the scoped pool requires.
-const _: fn() = || {
-    fn assert_shared<T: Send + Sync + ?Sized>() {}
-    assert_shared::<dyn SharedChunkRead>();
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,7 +236,6 @@ mod tests {
     fn seeded_store(chunks: u64) -> MemoryChunkStore {
         let mut s = MemoryChunkStore::new();
         for c in 0..chunks {
-            use crate::ChunkStore;
             s.put_chunk(1, c, &[c as u8; 16]).unwrap();
         }
         s
@@ -250,7 +258,6 @@ mod tests {
 
     #[test]
     fn io_stats_stay_exact_under_concurrency() {
-        use crate::ChunkStore;
         let s = seeded_store(64);
         let plan: Vec<FetchOp> = (0..64).map(|c| FetchOp::In(vec![c])).collect();
         let needed: Vec<u64> = (0..64).collect();

@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::store::{ChunkStore, MemoryChunkStore, SharedChunkRead, StorageError};
+use crate::store::{ChunkStore, MemoryChunkStore, StorageError};
 use crate::wal::{WalReader, WalRecord};
 
 /// Circuit breaker states.
@@ -271,7 +271,7 @@ impl Replica {
     /// cue to fail over).
     pub fn read<T>(
         &self,
-        f: impl FnOnce(&dyn SharedChunkRead) -> Result<T, StorageError>,
+        f: impl FnOnce(&dyn ChunkStore) -> Result<T, StorageError>,
     ) -> Result<T, StorageError> {
         if !self.alive() {
             return Err(StorageError::Transient("replica down".into()));
@@ -377,9 +377,7 @@ mod tests {
         let replica = Replica::new(tmp_dir("follower"), 3, 2).unwrap();
         replica.catch_up(&primary_wal, wal.next_lsn()).unwrap();
         assert_eq!(replica.applied_lsn(), wal.next_lsn());
-        let rows = replica
-            .read(|s| s.read_chunks_in(1, &[0, 1, 2, 3]))
-            .unwrap();
+        let rows = replica.read(|s| s.get_chunks_in(1, &[0, 1, 2, 3])).unwrap();
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[2].1, vec![2u8; 16]);
 
@@ -391,7 +389,7 @@ mod tests {
         })
         .unwrap();
         replica.catch_up(&primary_wal, wal.next_lsn()).unwrap();
-        let row = replica.read(|s| s.read_chunk(1, 4)).unwrap();
+        let row = replica.read(|s| s.get_chunk(1, 4)).unwrap();
         assert_eq!(row, vec![9u8; 16]);
 
         // Deletion replicates too.
@@ -401,7 +399,7 @@ mod tests {
         })
         .unwrap();
         replica.catch_up(&primary_wal, wal.next_lsn()).unwrap();
-        assert!(replica.read(|s| s.read_chunk(1, 0)).is_err());
+        assert!(replica.read(|s| s.get_chunk(1, 0)).is_err());
     }
 
     #[test]
@@ -410,7 +408,7 @@ mod tests {
         let (wal, _) = WalWriter::open(&primary_wal, WalOptions::default()).unwrap();
         let replica = Replica::new(tmp_dir("follower-dead"), 3, 2).unwrap();
         replica.set_alive(false);
-        let err = replica.read(|s| s.read_chunk(1, 0)).unwrap_err();
+        let err = replica.read(|s| s.get_chunk(1, 0)).unwrap_err();
         assert!(err.is_transient());
         let err = replica.catch_up(&primary_wal, wal.next_lsn()).unwrap_err();
         assert!(err.is_transient());

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 use ssdm_obs as obs;
 
 use crate::store::{
-    Capabilities, ChunkStore, CompositeRows, IoStats, RawChunkAccess, SharedChunkRead, StorageError,
+    Capabilities, ChunkRows, ChunkStore, CompositeRows, IoStats, RawChunkAccess, StorageError,
 };
 
 /// Process-wide resilience counters (all [`ResilientChunkStore`]
@@ -183,8 +183,8 @@ impl ResilienceStats {
 pub struct ResilientChunkStore<S: ChunkStore> {
     inner: S,
     policy: RetryPolicy,
-    // Behind a mutex so the shared-read retry path ([`SharedChunkRead`])
-    // can count from many worker threads at once.
+    // Behind a mutex so concurrent reads can count from many worker
+    // threads at once.
     stats: Mutex<ResilienceStats>,
 }
 
@@ -217,7 +217,8 @@ impl<S: ChunkStore> ResilientChunkStore<S> {
         self.inner
     }
 
-    /// The retry loop over the exclusive (`&mut`) inner store.
+    /// The retry loop for writes over the exclusive (`&mut`) inner
+    /// store.
     fn run<T>(
         &mut self,
         name: &'static str,
@@ -234,15 +235,25 @@ impl<S: ChunkStore> ResilientChunkStore<S> {
             relstore::busy_wait,
         )
     }
+
+    /// The retry loop for reads. A backing-off read parks, so the worker
+    /// thread yields the CPU to its siblings.
+    fn read<T>(
+        &self,
+        name: &'static str,
+        op: impl FnMut() -> Result<T, StorageError>,
+    ) -> Result<T, StorageError> {
+        retry_loop(self.policy, &self.stats, name, op, relstore::park_wait)
+    }
 }
 
 /// The retry loop. Runs `op` until it succeeds, fails permanently, or
 /// exhausts the attempt/deadline budget (then
 /// [`StorageError::DeadlineExceeded`]).
 ///
-/// `pause` is how a backoff is spent: the exclusive (`&mut`) paths
-/// busy-wait (sub-millisecond precision), the shared-read paths park so
-/// a backing-off worker thread yields the CPU to its siblings.
+/// `pause` is how a backoff is spent: writes busy-wait (sub-millisecond
+/// precision), reads park so a backing-off worker thread yields the CPU
+/// to its siblings.
 fn retry_loop<T>(
     policy: RetryPolicy,
     stats: &Mutex<ResilienceStats>,
@@ -314,47 +325,6 @@ fn retry_loop<T>(
     }
 }
 
-impl<S: ChunkStore + SharedChunkRead> SharedChunkRead for ResilientChunkStore<S> {
-    fn read_chunk(&self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
-        retry_loop(
-            self.policy,
-            &self.stats,
-            "get_chunk",
-            || self.inner.read_chunk(array_id, chunk_id),
-            relstore::park_wait,
-        )
-    }
-
-    fn read_chunks_in(
-        &self,
-        array_id: u64,
-        chunk_ids: &[u64],
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        retry_loop(
-            self.policy,
-            &self.stats,
-            "get_chunks_in",
-            || self.inner.read_chunks_in(array_id, chunk_ids),
-            relstore::park_wait,
-        )
-    }
-
-    fn read_chunk_range(
-        &self,
-        array_id: u64,
-        lo: u64,
-        hi: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        retry_loop(
-            self.policy,
-            &self.stats,
-            "get_chunk_range",
-            || self.inner.read_chunk_range(array_id, lo, hi),
-            relstore::park_wait,
-        )
-    }
-}
-
 impl<S: ChunkStore> ChunkStore for ResilientChunkStore<S> {
     fn begin_array(&mut self, array_id: u64, chunk_bytes: usize) -> Result<(), StorageError> {
         self.run("begin_array", |s| s.begin_array(array_id, chunk_bytes))
@@ -364,37 +334,34 @@ impl<S: ChunkStore> ChunkStore for ResilientChunkStore<S> {
         self.run("put_chunk", |s| s.put_chunk(array_id, chunk_id, data))
     }
 
-    fn get_chunk(&mut self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
-        self.run("get_chunk", |s| s.get_chunk(array_id, chunk_id))
+    fn get_chunk(&self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
+        self.read("get_chunk", || self.inner.get_chunk(array_id, chunk_id))
     }
 
-    fn get_chunks_in(
-        &mut self,
-        array_id: u64,
-        chunk_ids: &[u64],
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        self.run("get_chunks_in", |s| s.get_chunks_in(array_id, chunk_ids))
+    fn get_chunks_in(&self, array_id: u64, chunk_ids: &[u64]) -> Result<ChunkRows, StorageError> {
+        self.read("get_chunks_in", || {
+            self.inner.get_chunks_in(array_id, chunk_ids)
+        })
     }
 
-    fn get_chunk_range(
-        &mut self,
-        array_id: u64,
-        lo: u64,
-        hi: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        self.run("get_chunk_range", |s| s.get_chunk_range(array_id, lo, hi))
+    fn get_chunk_range(&self, array_id: u64, lo: u64, hi: u64) -> Result<ChunkRows, StorageError> {
+        self.read("get_chunk_range", || {
+            self.inner.get_chunk_range(array_id, lo, hi)
+        })
     }
 
     fn get_composite_range(
-        &mut self,
+        &self,
         lo: (u64, u64),
         hi: (u64, u64),
     ) -> Result<CompositeRows, StorageError> {
-        self.run("get_composite_range", |s| s.get_composite_range(lo, hi))
+        self.read("get_composite_range", || {
+            self.inner.get_composite_range(lo, hi)
+        })
     }
 
-    fn get_composite_in(&mut self, keys: &[(u64, u64)]) -> Result<CompositeRows, StorageError> {
-        self.run("get_composite_in", |s| s.get_composite_in(keys))
+    fn get_composite_in(&self, keys: &[(u64, u64)]) -> Result<CompositeRows, StorageError> {
+        self.read("get_composite_in", || self.inner.get_composite_in(keys))
     }
 
     fn delete_array(&mut self, array_id: u64, chunk_count: u64) -> Result<(), StorageError> {
@@ -461,7 +428,7 @@ mod tests {
     struct Flaky {
         inner: MemoryChunkStore,
         fail_first: u32,
-        calls: u32,
+        calls: std::sync::atomic::AtomicU32,
     }
 
     impl ChunkStore for Flaky {
@@ -474,9 +441,11 @@ mod tests {
             self.inner.put_chunk(array_id, chunk_id, data)
         }
 
-        fn get_chunk(&mut self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
-            self.calls += 1;
-            if self.calls <= self.fail_first {
+        fn get_chunk(&self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
+            let calls = 1 + self
+                .calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if calls <= self.fail_first {
                 return Err(StorageError::Transient("simulated hiccup".into()));
             }
             self.inner.get_chunk(array_id, chunk_id)
@@ -505,13 +474,13 @@ mod tests {
         Flaky {
             inner,
             fail_first,
-            calls: 0,
+            calls: Default::default(),
         }
     }
 
     #[test]
     fn retries_transient_until_success() {
-        let mut s = ResilientChunkStore::new(flaky(2), RetryPolicy::aggressive());
+        let s = ResilientChunkStore::new(flaky(2), RetryPolicy::aggressive());
         assert_eq!(s.get_chunk(1, 0).unwrap(), b"payload!");
         let st = s.resilience_stats();
         assert_eq!(st.retries, 2);
@@ -521,7 +490,7 @@ mod tests {
 
     #[test]
     fn gives_up_after_attempt_budget() {
-        let mut s = ResilientChunkStore::new(
+        let s = ResilientChunkStore::new(
             flaky(100),
             RetryPolicy {
                 max_attempts: 3,
@@ -544,7 +513,7 @@ mod tests {
 
     #[test]
     fn permanent_errors_pass_through_without_retry() {
-        let mut s = ResilientChunkStore::new(flaky(0), RetryPolicy::aggressive());
+        let s = ResilientChunkStore::new(flaky(0), RetryPolicy::aggressive());
         assert!(matches!(
             s.get_chunk(1, 77),
             Err(StorageError::MissingChunk { .. })

@@ -4,7 +4,7 @@
 //! **rendezvous hashing** on `(array_id, chunk_id)` — each key scores
 //! every shard and lands on the highest scorer, so adding a shard only
 //! moves the keys that now score higher there (no modulo reshuffle).
-//! Each shard is a primary [`SharedChunkStore`] plus K WAL-shipping
+//! Each shard is a primary [`ChunkStore`] plus K WAL-shipping
 //! read [`Replica`]s: every write is applied to the primary *and*
 //! appended to a per-shard SWL1 log, which followers copy and replay to
 //! catch up by LSN before serving reads (see [`crate::replica`]).
@@ -36,10 +36,7 @@ use ssdm_obs as obs;
 
 use crate::parallel::scatter_gather;
 use crate::replica::{Replica, ReplicaHealth};
-use crate::store::{
-    Capabilities, ChunkStore, CompositeRows, IoStats, SharedChunkRead, SharedChunkStore,
-    StorageError,
-};
+use crate::store::{Capabilities, ChunkRows, ChunkStore, CompositeRows, IoStats, StorageError};
 use crate::wal::{FsyncPolicy, WalOptions, WalRecord, WalWriter};
 
 /// Process-wide count of read attempts that failed over away from a
@@ -144,7 +141,7 @@ pub struct ShardStats {
 }
 
 struct Shard {
-    primary: Box<dyn SharedChunkStore>,
+    primary: Box<dyn ChunkStore>,
     /// Kill switch for failure drills: a dead primary turns reads that
     /// reach it into [`StorageError::ShardUnavailable`].
     primary_alive: AtomicBool,
@@ -186,7 +183,7 @@ impl ShardedChunkStore {
     /// private temp directory (removed on drop). Use [`Self::with_root`]
     /// to keep the replication state with a persistent backend.
     pub fn new(
-        primaries: Vec<Box<dyn SharedChunkStore>>,
+        primaries: Vec<Box<dyn ChunkStore>>,
         opts: ShardOptions,
     ) -> Result<Self, StorageError> {
         Self::build(primaries, ephemeral_root(), true, opts)
@@ -196,7 +193,7 @@ impl ShardedChunkStore {
     /// under `root` (`root/shard-N/{wal,replica-K}`), so a reopened
     /// store resumes from the shipped state.
     pub fn with_root(
-        primaries: Vec<Box<dyn SharedChunkStore>>,
+        primaries: Vec<Box<dyn ChunkStore>>,
         root: PathBuf,
         opts: ShardOptions,
     ) -> Result<Self, StorageError> {
@@ -204,7 +201,7 @@ impl ShardedChunkStore {
     }
 
     fn build(
-        primaries: Vec<Box<dyn SharedChunkStore>>,
+        primaries: Vec<Box<dyn ChunkStore>>,
         root: PathBuf,
         ephemeral: bool,
         opts: ShardOptions,
@@ -332,13 +329,13 @@ impl ShardedChunkStore {
     fn primary_read<T>(
         &self,
         idx: usize,
-        f: &dyn Fn(&dyn SharedChunkRead) -> Result<T, StorageError>,
+        f: &dyn Fn(&dyn ChunkStore) -> Result<T, StorageError>,
     ) -> Result<T, StorageError> {
         let shard = &self.shards[idx];
         if !shard.primary_alive.load(Ordering::Acquire) {
             return Err(StorageError::ShardUnavailable { shards: vec![idx] });
         }
-        let v = f(&shard.primary)?;
+        let v = f(&*shard.primary)?;
         shard.primary_reads.fetch_add(1, Ordering::Relaxed);
         Ok(v)
     }
@@ -351,7 +348,7 @@ impl ShardedChunkStore {
     fn read_on<T>(
         &self,
         idx: usize,
-        f: impl Fn(&dyn SharedChunkRead) -> Result<T, StorageError>,
+        f: impl Fn(&dyn ChunkStore) -> Result<T, StorageError>,
     ) -> Result<T, StorageError> {
         let shard = &self.shards[idx];
         let n = shard.replicas.len();
@@ -421,7 +418,7 @@ impl ShardedChunkStore {
     /// Merge per-job errors: if any job failed with `ShardUnavailable`,
     /// report the union of dark shards; otherwise the first error in
     /// job order wins (deterministic regardless of worker timing).
-    fn merge_errors(results: &mut Vec<Result<ChunkGroup, StorageError>>) -> Option<StorageError> {
+    fn merge_errors(results: &mut Vec<Result<ChunkRows, StorageError>>) -> Option<StorageError> {
         let mut dark: Vec<usize> = Vec::new();
         let mut first: Option<usize> = None;
         for (i, r) in results.iter().enumerate() {
@@ -445,24 +442,18 @@ impl ShardedChunkStore {
     }
 }
 
-type ChunkGroup = Vec<(u64, Vec<u8>)>;
-
-impl SharedChunkRead for ShardedChunkStore {
-    fn read_chunk(&self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
+impl ChunkStore for ShardedChunkStore {
+    fn get_chunk(&self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
         let idx = place(array_id, chunk_id, self.shards.len());
-        let v = self.read_on(idx, |t| t.read_chunk(array_id, chunk_id))?;
+        let v = self.read_on(idx, |t| t.get_chunk(array_id, chunk_id))?;
         self.account(1, v.len());
         Ok(v)
     }
 
-    fn read_chunks_in(
-        &self,
-        array_id: u64,
-        chunk_ids: &[u64],
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
+    fn get_chunks_in(&self, array_id: u64, chunk_ids: &[u64]) -> Result<ChunkRows, StorageError> {
         let jobs = self.group_by_shard(array_id, chunk_ids);
         let mut results = scatter_gather(self.opts.read_workers, &jobs, |_, (idx, ids)| {
-            self.read_on(*idx, |t| t.read_chunks_in(array_id, ids))
+            self.read_on(*idx, |t| t.get_chunks_in(array_id, ids))
         });
         if let Some(e) = Self::merge_errors(&mut results) {
             return Err(e);
@@ -490,17 +481,12 @@ impl SharedChunkRead for ShardedChunkStore {
         Ok(out)
     }
 
-    fn read_chunk_range(
-        &self,
-        array_id: u64,
-        lo: u64,
-        hi: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
+    fn get_chunk_range(&self, array_id: u64, lo: u64, hi: u64) -> Result<ChunkRows, StorageError> {
         let idxs: Vec<usize> = (0..self.shards.len()).collect();
         let results = scatter_gather(self.opts.read_workers, &idxs, |_, &idx| {
-            self.read_on(idx, |t| t.read_chunk_range(array_id, lo, hi))
+            self.read_on(idx, |t| t.get_chunk_range(array_id, lo, hi))
         });
-        let mut rows: ChunkGroup = Vec::new();
+        let mut rows: ChunkRows = Vec::new();
         for r in results {
             match r {
                 Ok(part) => rows.extend(part),
@@ -518,9 +504,7 @@ impl SharedChunkRead for ShardedChunkStore {
         self.account(rows.len(), bytes);
         Ok(rows)
     }
-}
 
-impl ChunkStore for ShardedChunkStore {
     fn begin_array(&mut self, array_id: u64, chunk_bytes: usize) -> Result<(), StorageError> {
         for shard in &mut self.shards {
             shard.primary.begin_array(array_id, chunk_bytes)?;
@@ -552,29 +536,8 @@ impl ChunkStore for ShardedChunkStore {
         Ok(())
     }
 
-    fn get_chunk(&mut self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
-        self.read_chunk(array_id, chunk_id)
-    }
-
-    fn get_chunks_in(
-        &mut self,
-        array_id: u64,
-        chunk_ids: &[u64],
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        self.read_chunks_in(array_id, chunk_ids)
-    }
-
-    fn get_chunk_range(
-        &mut self,
-        array_id: u64,
-        lo: u64,
-        hi: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        self.read_chunk_range(array_id, lo, hi)
-    }
-
     fn get_composite_range(
-        &mut self,
+        &self,
         lo: (u64, u64),
         hi: (u64, u64),
     ) -> Result<CompositeRows, StorageError> {
@@ -584,7 +547,7 @@ impl ChunkStore for ShardedChunkStore {
         // degrade.
         let mut dark: Vec<usize> = Vec::new();
         let mut rows = CompositeRows::new();
-        for (i, shard) in self.shards.iter_mut().enumerate() {
+        for (i, shard) in self.shards.iter().enumerate() {
             if !shard.primary_alive.load(Ordering::Acquire) {
                 dark.push(i);
                 continue;
@@ -601,7 +564,7 @@ impl ChunkStore for ShardedChunkStore {
         Ok(rows)
     }
 
-    fn get_composite_in(&mut self, keys: &[(u64, u64)]) -> Result<CompositeRows, StorageError> {
+    fn get_composite_in(&self, keys: &[(u64, u64)]) -> Result<CompositeRows, StorageError> {
         let n = self.shards.len();
         let mut groups: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n];
         for &(a, c) in keys {
@@ -614,7 +577,7 @@ impl ChunkStore for ShardedChunkStore {
             if group.is_empty() {
                 continue;
             }
-            let shard = &mut self.shards[i];
+            let shard = &self.shards[i];
             if !shard.primary_alive.load(Ordering::Acquire) {
                 dark.push(i);
                 continue;
@@ -716,9 +679,9 @@ mod tests {
     use crate::replica::BreakerState;
     use crate::store::MemoryChunkStore;
 
-    fn primaries(n: usize) -> Vec<Box<dyn SharedChunkStore>> {
+    fn primaries(n: usize) -> Vec<Box<dyn ChunkStore>> {
         (0..n)
-            .map(|_| Box::new(MemoryChunkStore::new()) as Box<dyn SharedChunkStore>)
+            .map(|_| Box::new(MemoryChunkStore::new()) as Box<dyn ChunkStore>)
             .collect()
     }
 
@@ -760,26 +723,26 @@ mod tests {
         // Point reads.
         for c in 0..64 {
             assert_eq!(
-                sharded.read_chunk(1, c).unwrap(),
-                plain.read_chunk(1, c).unwrap()
+                sharded.get_chunk(1, c).unwrap(),
+                plain.get_chunk(1, c).unwrap()
             );
         }
         // IN-list in scrambled order, with duplicates.
         let ids: Vec<u64> = vec![63, 0, 17, 5, 17, 42, 1];
         assert_eq!(
-            sharded.read_chunks_in(1, &ids).unwrap(),
-            plain.read_chunks_in(1, &ids).unwrap()
+            sharded.get_chunks_in(1, &ids).unwrap(),
+            plain.get_chunks_in(1, &ids).unwrap()
         );
         // Range (hi beyond the stored chunks: missing are skipped).
         assert_eq!(
-            sharded.read_chunk_range(1, 10, 80).unwrap(),
-            plain.read_chunk_range(1, 10, 80).unwrap()
+            sharded.get_chunk_range(1, 10, 80).unwrap(),
+            plain.get_chunk_range(1, 10, 80).unwrap()
         );
     }
 
     #[test]
     fn composite_ops_match_unsharded() {
-        let mut sharded = seeded(3, ShardOptions::default(), 16);
+        let sharded = seeded(3, ShardOptions::default(), 16);
         let mut plain = MemoryChunkStore::new();
         for c in 0..16u64 {
             let data: Vec<u8> = (0..32)
@@ -806,7 +769,7 @@ mod tests {
         };
         let sharded = seeded(2, opts, 32);
         let ids: Vec<u64> = (0..32).collect();
-        let rows = sharded.read_chunks_in(1, &ids).unwrap();
+        let rows = sharded.get_chunks_in(1, &ids).unwrap();
         assert_eq!(rows.len(), 32);
         let st = sharded.stats();
         let replica_reads: u64 = st.shards.iter().map(|s| s.replica_reads).sum();
@@ -830,7 +793,7 @@ mod tests {
         let sharded = seeded(1, opts, 16);
         sharded.kill_replica(0, 0);
         for c in 0..16 {
-            assert!(sharded.read_chunk(1, c).is_ok(), "read {c} failed");
+            assert!(sharded.get_chunk(1, c).is_ok(), "read {c} failed");
         }
         let st = sharded.stats();
         assert!(st.failovers >= 1, "no failover recorded");
@@ -845,18 +808,18 @@ mod tests {
         assert!(!on_one.is_empty());
         sharded.kill_primary(1);
         let ids: Vec<u64> = (0..32).collect();
-        match sharded.read_chunks_in(1, &ids) {
+        match sharded.get_chunks_in(1, &ids) {
             Err(StorageError::ShardUnavailable { shards }) => assert_eq!(shards, vec![1]),
             other => panic!("expected ShardUnavailable, got {other:?}"),
         }
         // Ranges degrade to the surviving shards' chunks instead.
-        let rows = sharded.read_chunk_range(1, 0, 31).unwrap();
+        let rows = sharded.get_chunk_range(1, 0, 31).unwrap();
         let expect: Vec<u64> = (0..32).filter(|&c| place(1, c, 2) == 0).collect();
         assert_eq!(rows.iter().map(|(c, _)| *c).collect::<Vec<_>>(), expect);
         assert!(sharded.stats().degraded_reads >= 1);
         // Revival restores full service.
         sharded.revive_primary(1);
-        assert_eq!(sharded.read_chunks_in(1, &ids).unwrap().len(), 32);
+        assert_eq!(sharded.get_chunks_in(1, &ids).unwrap().len(), 32);
     }
 
     #[test]
@@ -872,7 +835,7 @@ mod tests {
         // Two failed reads trip the breaker (each falls through to the
         // primary, so no read ever fails).
         for _ in 0..2 {
-            sharded.read_chunk(1, 0).unwrap();
+            sharded.get_chunk(1, 0).unwrap();
         }
         let st = sharded.stats();
         assert_eq!(st.shards[0].replicas[0].breaker, BreakerState::Open);
@@ -882,7 +845,7 @@ mod tests {
         // Cooldown burns on the next admissions, then a half-open probe
         // succeeds and the breaker closes.
         for _ in 0..3 {
-            sharded.read_chunk(1, 0).unwrap();
+            sharded.get_chunk(1, 0).unwrap();
         }
         let st = sharded.stats();
         assert_eq!(st.shards[0].replicas[0].breaker, BreakerState::Closed);
@@ -899,10 +862,10 @@ mod tests {
         // Overwrite a chunk, then delete the array: replicas must track
         // both through the shipped log.
         sharded.put_chunk(1, 3, &[0xAB; 32]).unwrap();
-        assert_eq!(sharded.read_chunk(1, 3).unwrap(), vec![0xAB; 32]);
+        assert_eq!(sharded.get_chunk(1, 3).unwrap(), vec![0xAB; 32]);
         sharded.delete_array(1, 8).unwrap();
         assert!(matches!(
-            sharded.read_chunk(1, 3),
+            sharded.get_chunk(1, 3),
             Err(StorageError::MissingChunk { .. })
         ));
         let st = sharded.stats();

@@ -184,11 +184,10 @@ pub struct Capabilities {
     /// Whether one statement can scan across array boundaries
     /// (clustered composite-key table).
     pub supports_cross_range: bool,
-    /// Whether the store tolerates concurrent shared reads (the
-    /// [`SharedChunkRead`] contract) — when false, the parallel
-    /// retrieval pipeline degrades to the sequential path even if the
-    /// type implements the trait (e.g. a wrapper whose bookkeeping is
-    /// not meaningful under concurrency).
+    /// Whether the store tolerates concurrent reads from several APR
+    /// workers at once — when false, the APR executor clamps itself to
+    /// one worker even though every read is `&self` (e.g. a wrapper
+    /// whose bookkeeping is not meaningful under concurrency).
     pub supports_parallel: bool,
 }
 
@@ -207,10 +206,17 @@ pub struct IoStats {
     pub bytes_returned: u64,
 }
 
-/// The ASEI: chunk-granular storage of linearized arrays. `Send` so an
-/// SSDM instance can be owned by a server thread (thesis §5.1:
-/// client-server deployment).
-pub trait ChunkStore: Send {
+/// The ASEI: chunk-granular storage of linearized arrays.
+///
+/// Writes take `&mut self`; reads take `&self` and the trait is `Send +
+/// Sync`, so one store serves the APR executor's worker threads
+/// ([`crate::parallel`]) and can be owned by a server thread (thesis
+/// §5.1: client-server deployment). Implementations must keep
+/// [`IoStats`] accounting exact under concurrent reads (the APR reports
+/// statement counts as deltas), and should verify per-chunk CRC32
+/// frames on the *calling* thread, so decode work parallelizes along
+/// with the fetches.
+pub trait ChunkStore: Send + Sync {
     /// Announce a new array before its chunks are written. Back-ends
     /// with per-array physical layout (files) allocate here; the default
     /// is a no-op.
@@ -222,16 +228,12 @@ pub trait ChunkStore: Send {
     fn put_chunk(&mut self, array_id: u64, chunk_id: u64, data: &[u8]) -> Result<(), StorageError>;
 
     /// Fetch one chunk (one back-end statement).
-    fn get_chunk(&mut self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError>;
+    fn get_chunk(&self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError>;
 
     /// Fetch a set of chunks in one statement. Back-ends without native
     /// IN-list support may loop internally; the default does so and
     /// charges one statement per chunk.
-    fn get_chunks_in(
-        &mut self,
-        array_id: u64,
-        chunk_ids: &[u64],
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
+    fn get_chunks_in(&self, array_id: u64, chunk_ids: &[u64]) -> Result<ChunkRows, StorageError> {
         let mut out = Vec::with_capacity(chunk_ids.len());
         for &c in chunk_ids {
             out.push((c, self.get_chunk(array_id, c)?));
@@ -240,12 +242,7 @@ pub trait ChunkStore: Send {
     }
 
     /// Fetch an inclusive chunk-id range in one statement. Default loops.
-    fn get_chunk_range(
-        &mut self,
-        array_id: u64,
-        lo: u64,
-        hi: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
+    fn get_chunk_range(&self, array_id: u64, lo: u64, hi: u64) -> Result<ChunkRows, StorageError> {
         let ids: Vec<u64> = (lo..=hi).collect();
         self.get_chunks_in(array_id, &ids)
     }
@@ -256,7 +253,7 @@ pub trait ChunkStore: Send {
     /// without a cross-array clustered layout return `Unsupported`;
     /// callers must consult [`Capabilities::supports_cross_range`].
     fn get_composite_range(
-        &mut self,
+        &self,
         _lo: (u64, u64),
         _hi: (u64, u64),
     ) -> Result<CompositeRows, StorageError> {
@@ -267,7 +264,7 @@ pub trait ChunkStore: Send {
 
     /// Row-value `IN`-list over composite keys in one statement
     /// (`WHERE (array, chunk) IN (...)`). Default: unsupported.
-    fn get_composite_in(&mut self, _keys: &[(u64, u64)]) -> Result<CompositeRows, StorageError> {
+    fn get_composite_in(&self, _keys: &[(u64, u64)]) -> Result<CompositeRows, StorageError> {
         Err(StorageError::Backend(
             "composite IN-lists not supported by this back-end".into(),
         ))
@@ -314,41 +311,13 @@ pub trait ChunkStore: Send {
     }
 }
 
-/// The concurrent read side of a chunk store: the same fetch shapes as
-/// [`ChunkStore`], but through `&self`, callable from many worker
-/// threads at once. This is what the parallel retrieval pipeline
-/// ([`crate::parallel`]) partitions an APR fetch plan over.
-///
-/// Implementations must keep [`IoStats`] accounting exact under
-/// concurrency (the APR reports statement counts as deltas), and should
-/// do per-chunk CRC32 frame verification on the *calling* thread, so
-/// decode work parallelizes along with the fetches.
-pub trait SharedChunkRead: Send + Sync {
-    /// Fetch one chunk (one back-end statement).
-    fn read_chunk(&self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError>;
-
-    /// Fetch a set of chunks in one statement.
-    fn read_chunks_in(
-        &self,
-        array_id: u64,
-        chunk_ids: &[u64],
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError>;
-
-    /// Fetch an inclusive chunk-id range in one statement.
-    fn read_chunk_range(
-        &self,
-        array_id: u64,
-        lo: u64,
-        hi: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError>;
-}
-
 /// Raw access to a chunk's *stored* (framed) bytes, beneath the
-/// checksum layer. This is how the deterministic fault injector
-/// ([`crate::FaultInjectingChunkStore`]) models media corruption: it
-/// flips a bit in the at-rest representation, so the back-end's own
-/// CRC32 verification — not the injector — detects the damage on the
-/// next read, exactly as it would for a real corrupted page or file.
+/// checksum layer: the hook that models *at-rest* media corruption. A
+/// bit flipped here is detected by the back-end's own CRC32
+/// verification on the next read, exactly as a real corrupted page or
+/// file would be, and it stays until rewritten. (The fault injector's
+/// [`crate::FaultKind::BitFlip`] models *in-transit* corruption
+/// instead, which a re-read does not see.)
 pub trait RawChunkAccess {
     /// Flip one bit of the stored representation of a chunk. `bit` is
     /// taken modulo the stored length in bits. Returns `Ok(false)` when
@@ -370,36 +339,27 @@ impl ChunkStore for Box<dyn ChunkStore> {
         (**self).put_chunk(array_id, chunk_id, data)
     }
 
-    fn get_chunk(&mut self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
+    fn get_chunk(&self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
         (**self).get_chunk(array_id, chunk_id)
     }
 
-    fn get_chunks_in(
-        &mut self,
-        array_id: u64,
-        chunk_ids: &[u64],
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
+    fn get_chunks_in(&self, array_id: u64, chunk_ids: &[u64]) -> Result<ChunkRows, StorageError> {
         (**self).get_chunks_in(array_id, chunk_ids)
     }
 
-    fn get_chunk_range(
-        &mut self,
-        array_id: u64,
-        lo: u64,
-        hi: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
+    fn get_chunk_range(&self, array_id: u64, lo: u64, hi: u64) -> Result<ChunkRows, StorageError> {
         (**self).get_chunk_range(array_id, lo, hi)
     }
 
     fn get_composite_range(
-        &mut self,
+        &self,
         lo: (u64, u64),
         hi: (u64, u64),
     ) -> Result<CompositeRows, StorageError> {
         (**self).get_composite_range(lo, hi)
     }
 
-    fn get_composite_in(&mut self, keys: &[(u64, u64)]) -> Result<CompositeRows, StorageError> {
+    fn get_composite_in(&self, keys: &[(u64, u64)]) -> Result<CompositeRows, StorageError> {
         (**self).get_composite_in(keys)
     }
 
@@ -441,125 +401,6 @@ impl ChunkStore for Box<dyn ChunkStore> {
 
     fn sync(&mut self) -> Result<(), StorageError> {
         (**self).sync()
-    }
-}
-
-/// [`ChunkStore`] + [`SharedChunkRead`] combined: what a boxed dataset
-/// back-end must provide so *both* the mutating store path and the
-/// parallel read pipeline work through one trait object. Blanket-
-/// implemented for every type with both traits — all shipped back-ends
-/// (memory, file, relational, their cache/resilience wrappers, the
-/// sharded store, and the fault injector over a shared-readable inner
-/// store) qualify. The injector still advertises `supports_parallel:
-/// false` unless a test opts in via `enable_parallel`, so capability-
-/// based downgrades to the sequential path are unchanged.
-pub trait SharedChunkStore: ChunkStore + SharedChunkRead {}
-
-impl<T: ChunkStore + SharedChunkRead> SharedChunkStore for T {}
-
-impl ChunkStore for Box<dyn SharedChunkStore> {
-    fn begin_array(&mut self, array_id: u64, chunk_bytes: usize) -> Result<(), StorageError> {
-        (**self).begin_array(array_id, chunk_bytes)
-    }
-
-    fn put_chunk(&mut self, array_id: u64, chunk_id: u64, data: &[u8]) -> Result<(), StorageError> {
-        (**self).put_chunk(array_id, chunk_id, data)
-    }
-
-    fn get_chunk(&mut self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
-        (**self).get_chunk(array_id, chunk_id)
-    }
-
-    fn get_chunks_in(
-        &mut self,
-        array_id: u64,
-        chunk_ids: &[u64],
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        (**self).get_chunks_in(array_id, chunk_ids)
-    }
-
-    fn get_chunk_range(
-        &mut self,
-        array_id: u64,
-        lo: u64,
-        hi: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        (**self).get_chunk_range(array_id, lo, hi)
-    }
-
-    fn get_composite_range(
-        &mut self,
-        lo: (u64, u64),
-        hi: (u64, u64),
-    ) -> Result<CompositeRows, StorageError> {
-        (**self).get_composite_range(lo, hi)
-    }
-
-    fn get_composite_in(&mut self, keys: &[(u64, u64)]) -> Result<CompositeRows, StorageError> {
-        (**self).get_composite_in(keys)
-    }
-
-    fn delete_array(&mut self, array_id: u64, chunk_count: u64) -> Result<(), StorageError> {
-        (**self).delete_array(array_id, chunk_count)
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        (**self).capabilities()
-    }
-
-    fn io_stats(&self) -> IoStats {
-        (**self).io_stats()
-    }
-
-    fn reset_io_stats(&mut self) {
-        (**self).reset_io_stats()
-    }
-
-    fn resilience_stats(&self) -> crate::resilient::ResilienceStats {
-        (**self).resilience_stats()
-    }
-
-    fn reset_resilience_stats(&mut self) {
-        (**self).reset_resilience_stats()
-    }
-
-    fn cache_stats(&self) -> crate::cache::CacheStats {
-        (**self).cache_stats()
-    }
-
-    fn reset_cache_stats(&mut self) {
-        (**self).reset_cache_stats()
-    }
-
-    fn shard_stats(&self) -> Option<crate::shard::ShardStats> {
-        (**self).shard_stats()
-    }
-
-    fn sync(&mut self) -> Result<(), StorageError> {
-        (**self).sync()
-    }
-}
-
-impl SharedChunkRead for Box<dyn SharedChunkStore> {
-    fn read_chunk(&self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
-        (**self).read_chunk(array_id, chunk_id)
-    }
-
-    fn read_chunks_in(
-        &self,
-        array_id: u64,
-        chunk_ids: &[u64],
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        (**self).read_chunks_in(array_id, chunk_ids)
-    }
-
-    fn read_chunk_range(
-        &self,
-        array_id: u64,
-        lo: u64,
-        hi: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        (**self).read_chunk_range(array_id, lo, hi)
     }
 }
 
@@ -569,10 +410,10 @@ impl SharedChunkRead for Box<dyn SharedChunkStore> {
 
 /// A transient in-process back-end (hash map of chunks). Used as the
 /// "resident" baseline and in tests. Chunks are held in their framed,
-/// checksummed representation so at-rest corruption (or a fault
-/// injector flipping stored bits) is caught on read like in the
-/// persistent back-ends. Statistics live behind a mutex so reads can
-/// run concurrently through [`SharedChunkRead`].
+/// checksummed representation so at-rest corruption (a bit flipped
+/// through [`RawChunkAccess`]) is caught on read like in the persistent
+/// back-ends. Statistics live behind a mutex so reads can run
+/// concurrently.
 #[derive(Debug, Default)]
 pub struct MemoryChunkStore {
     chunks: HashMap<(u64, u64), Vec<u8>>,
@@ -593,60 +434,6 @@ impl MemoryChunkStore {
 
     fn decode(frame: &[u8], array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
         crate::frame::decode(frame).map_err(|e| StorageError::from_frame(array_id, chunk_id, e))
-    }
-}
-
-impl SharedChunkRead for MemoryChunkStore {
-    fn read_chunk(&self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
-        let frame = self
-            .chunks
-            .get(&(array_id, chunk_id))
-            .ok_or(StorageError::MissingChunk { array_id, chunk_id })?;
-        let v = Self::decode(frame, array_id, chunk_id)?;
-        self.account(1, v.len());
-        Ok(v)
-    }
-
-    fn read_chunks_in(
-        &self,
-        array_id: u64,
-        chunk_ids: &[u64],
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        let mut out = Vec::with_capacity(chunk_ids.len());
-        let mut bytes = 0;
-        for &c in chunk_ids {
-            let frame = self
-                .chunks
-                .get(&(array_id, c))
-                .ok_or(StorageError::MissingChunk {
-                    array_id,
-                    chunk_id: c,
-                })?;
-            let v = Self::decode(frame, array_id, c)?;
-            bytes += v.len();
-            out.push((c, v));
-        }
-        self.account(out.len(), bytes);
-        Ok(out)
-    }
-
-    fn read_chunk_range(
-        &self,
-        array_id: u64,
-        lo: u64,
-        hi: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        let mut out = Vec::new();
-        let mut bytes = 0;
-        for c in lo..=hi {
-            if let Some(frame) = self.chunks.get(&(array_id, c)) {
-                let v = Self::decode(frame, array_id, c)?;
-                bytes += v.len();
-                out.push((c, v));
-            }
-        }
-        self.account(out.len(), bytes);
-        Ok(out)
     }
 }
 
@@ -675,25 +462,47 @@ impl ChunkStore for MemoryChunkStore {
         Ok(())
     }
 
-    fn get_chunk(&mut self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
-        self.read_chunk(array_id, chunk_id)
+    fn get_chunk(&self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
+        let frame = self
+            .chunks
+            .get(&(array_id, chunk_id))
+            .ok_or(StorageError::MissingChunk { array_id, chunk_id })?;
+        let v = Self::decode(frame, array_id, chunk_id)?;
+        self.account(1, v.len());
+        Ok(v)
     }
 
-    fn get_chunks_in(
-        &mut self,
-        array_id: u64,
-        chunk_ids: &[u64],
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        self.read_chunks_in(array_id, chunk_ids)
+    fn get_chunks_in(&self, array_id: u64, chunk_ids: &[u64]) -> Result<ChunkRows, StorageError> {
+        let mut out = Vec::with_capacity(chunk_ids.len());
+        let mut bytes = 0;
+        for &c in chunk_ids {
+            let frame = self
+                .chunks
+                .get(&(array_id, c))
+                .ok_or(StorageError::MissingChunk {
+                    array_id,
+                    chunk_id: c,
+                })?;
+            let v = Self::decode(frame, array_id, c)?;
+            bytes += v.len();
+            out.push((c, v));
+        }
+        self.account(out.len(), bytes);
+        Ok(out)
     }
 
-    fn get_chunk_range(
-        &mut self,
-        array_id: u64,
-        lo: u64,
-        hi: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        self.read_chunk_range(array_id, lo, hi)
+    fn get_chunk_range(&self, array_id: u64, lo: u64, hi: u64) -> Result<ChunkRows, StorageError> {
+        let mut out = Vec::new();
+        let mut bytes = 0;
+        for c in lo..=hi {
+            if let Some(frame) = self.chunks.get(&(array_id, c)) {
+                let v = Self::decode(frame, array_id, c)?;
+                bytes += v.len();
+                out.push((c, v));
+            }
+        }
+        self.account(out.len(), bytes);
+        Ok(out)
     }
 
     fn delete_array(&mut self, array_id: u64, chunk_count: u64) -> Result<(), StorageError> {
@@ -704,7 +513,7 @@ impl ChunkStore for MemoryChunkStore {
     }
 
     fn get_composite_range(
-        &mut self,
+        &self,
         lo: (u64, u64),
         hi: (u64, u64),
     ) -> Result<CompositeRows, StorageError> {
@@ -726,7 +535,7 @@ impl ChunkStore for MemoryChunkStore {
         Ok(out)
     }
 
-    fn get_composite_in(&mut self, keys: &[(u64, u64)]) -> Result<CompositeRows, StorageError> {
+    fn get_composite_in(&self, keys: &[(u64, u64)]) -> Result<CompositeRows, StorageError> {
         let mut out = Vec::with_capacity(keys.len());
         let mut bytes = 0;
         for &k in keys {
@@ -784,9 +593,6 @@ pub struct FileChunkStore {
     dir: PathBuf,
     files: RwLock<HashMap<u64, Arc<ArrayFile>>>,
     stats: Mutex<IoStats>,
-    /// Scratch buffer reused across slot reads on the `&mut` paths, so
-    /// a multi-chunk fetch does not allocate one read buffer per chunk.
-    scratch: Vec<u8>,
     /// fsync every chunk write before returning. Off by default; the
     /// durability layer turns it on under `FsyncPolicy::Always` so
     /// acknowledged chunk data is on media, not just in the page cache.
@@ -815,7 +621,6 @@ impl FileChunkStore {
             dir,
             files: RwLock::new(HashMap::new()),
             stats: Mutex::new(IoStats::default()),
-            scratch: Vec::new(),
             sync_writes: false,
         })
     }
@@ -901,7 +706,7 @@ impl FileChunkStore {
     }
 
     /// Read and verify the framed chunk in one slot, reading through
-    /// `scratch` (grown once, reused across slot reads). Distinguishes
+    /// `scratch` (grown once, reused across the slots of one call). Distinguishes
     /// a chunk beyond the end of the file (missing) from one whose
     /// frame is cut off by the file end (short read).
     fn read_slot(
@@ -972,49 +777,6 @@ impl FileChunkStore {
     }
 }
 
-impl SharedChunkRead for FileChunkStore {
-    fn read_chunk(&self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
-        let af = self.file(array_id)?;
-        let len = af.file.metadata()?.len();
-        let mut scratch = Vec::new();
-        let payload = Self::read_slot(&af, len, array_id, chunk_id, &mut scratch)?;
-        self.account(1, payload.len());
-        Ok(payload)
-    }
-
-    fn read_chunks_in(
-        &self,
-        array_id: u64,
-        chunk_ids: &[u64],
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        let af = self.file(array_id)?;
-        let len = af.file.metadata()?.len();
-        let mut scratch = Vec::new();
-        let mut out = Vec::with_capacity(chunk_ids.len());
-        let mut bytes = 0;
-        for &c in chunk_ids {
-            let payload = Self::read_slot(&af, len, array_id, c, &mut scratch)?;
-            bytes += payload.len();
-            out.push((c, payload));
-        }
-        self.account(out.len(), bytes);
-        Ok(out)
-    }
-
-    fn read_chunk_range(
-        &self,
-        array_id: u64,
-        lo: u64,
-        hi: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        let af = self.file(array_id)?;
-        let mut scratch = Vec::new();
-        let (out, bytes) = Self::read_range(&af, array_id, lo, hi, &mut scratch)?;
-        self.account(out.len(), bytes);
-        Ok(out)
-    }
-}
-
 impl RawChunkAccess for FileChunkStore {
     fn flip_stored_bit(
         &mut self,
@@ -1053,56 +815,32 @@ impl ChunkStore for FileChunkStore {
         Ok(())
     }
 
-    fn get_chunk(&mut self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
+    fn get_chunk(&self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
         let af = self.file(array_id)?;
         let len = af.file.metadata()?.len();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let result = Self::read_slot(&af, len, array_id, chunk_id, &mut scratch);
-        self.scratch = scratch;
-        let payload = result?;
+        let payload = Self::read_slot(&af, len, array_id, chunk_id, &mut Vec::new())?;
         self.account(1, payload.len());
         Ok(payload)
     }
 
-    fn get_chunks_in(
-        &mut self,
-        array_id: u64,
-        chunk_ids: &[u64],
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
+    fn get_chunks_in(&self, array_id: u64, chunk_ids: &[u64]) -> Result<ChunkRows, StorageError> {
         let af = self.file(array_id)?;
         let len = af.file.metadata()?.len();
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut scratch = Vec::new();
+        let mut out = Vec::with_capacity(chunk_ids.len());
         let mut bytes = 0;
-        let mut result = Ok(Vec::with_capacity(chunk_ids.len()));
         for &c in chunk_ids {
-            match Self::read_slot(&af, len, array_id, c, &mut scratch) {
-                Ok(payload) => {
-                    bytes += payload.len();
-                    result.as_mut().expect("still ok").push((c, payload));
-                }
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
+            let payload = Self::read_slot(&af, len, array_id, c, &mut scratch)?;
+            bytes += payload.len();
+            out.push((c, payload));
         }
-        self.scratch = scratch;
-        let out = result?;
         self.account(out.len(), bytes);
         Ok(out)
     }
 
-    fn get_chunk_range(
-        &mut self,
-        array_id: u64,
-        lo: u64,
-        hi: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
+    fn get_chunk_range(&self, array_id: u64, lo: u64, hi: u64) -> Result<ChunkRows, StorageError> {
         let af = self.file(array_id)?;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let result = Self::read_range(&af, array_id, lo, hi, &mut scratch);
-        self.scratch = scratch;
-        let (out, bytes) = result?;
+        let (out, bytes) = Self::read_range(&af, array_id, lo, hi, &mut Vec::new())?;
         self.account(out.len(), bytes);
         Ok(out)
     }
@@ -1148,7 +886,7 @@ impl ChunkStore for FileChunkStore {
 /// are checksummed [`crate::frame`]s, so page-level corruption in the
 /// substrate is detected when the row is read back.
 ///
-/// The embedded [`Db`] is single-writer, so shared reads serialize on a
+/// The embedded [`Db`] is single-writer, so reads serialize on a
 /// mutex — but the simulated client–server latency is charged *outside*
 /// the lock (by parking, not spinning), so concurrent readers overlap
 /// their simulated round trips the way real connections to a remote
@@ -1204,16 +942,16 @@ impl RelChunkStore {
         self.db.get_mut().expect("db mutex")
     }
 
-    /// Run `op` against the locked [`Db`] with latency charging
-    /// suppressed, then return the result together with the charge the
-    /// configured [`LatencyModel`] would have applied. The caller pays
-    /// the charge *after* releasing the lock by parking
-    /// ([`relstore::park_wait`]): a client–server round trip is an I/O
-    /// wait, so concurrent readers overlap it instead of serializing
-    /// spin-waits through the mutex.
-    fn shared_statement<T>(
+    /// Run one read statement `op` against the locked [`Db`] with
+    /// latency charging suppressed, then pay the charge the configured
+    /// [`LatencyModel`] would have applied *after* releasing the lock,
+    /// by parking ([`relstore::park_wait`]): a client–server round trip
+    /// is an I/O wait, so concurrent readers overlap it instead of
+    /// serializing spin-waits through the mutex. `cost` reports the
+    /// `(rows, bytes)` the statement returned.
+    fn statement<T>(
         &self,
-        op: impl FnOnce(&mut Db) -> Result<T, StorageError>,
+        op: impl FnOnce(&mut Db) -> Result<T, relstore::StoreError>,
         cost: impl FnOnce(&T) -> (usize, usize),
     ) -> Result<T, StorageError> {
         let (out, charge) = {
@@ -1230,57 +968,28 @@ impl RelChunkStore {
         relstore::park_wait(charge);
         Ok(out)
     }
+
+    /// A multi-row statement: rows charged by count and value bytes,
+    /// each row's frame verified on the calling thread.
+    fn rows_statement(
+        &self,
+        op: impl FnOnce(&mut Db) -> Result<Vec<(Key, Vec<u8>)>, relstore::StoreError>,
+    ) -> Result<CompositeRows, StorageError> {
+        let rows = self.statement(op, |rows| {
+            (rows.len(), rows.iter().map(|(_, v)| v.len()).sum())
+        })?;
+        rows.into_iter()
+            .map(|(k, v)| {
+                let payload = Self::decode_row(&v, k.array_id, k.chunk_id)?;
+                Ok(((k.array_id, k.chunk_id), payload))
+            })
+            .collect()
+    }
 }
 
-impl SharedChunkRead for RelChunkStore {
-    fn read_chunk(&self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
-        let frame = self.shared_statement(
-            |db| Ok(db.get(Key::new(array_id, chunk_id))?),
-            |v| match v {
-                Some(b) => (1, b.len()),
-                None => (0, 0),
-            },
-        )?;
-        let frame = frame.ok_or(StorageError::MissingChunk { array_id, chunk_id })?;
-        Self::decode_row(&frame, array_id, chunk_id)
-    }
-
-    fn read_chunks_in(
-        &self,
-        array_id: u64,
-        chunk_ids: &[u64],
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        let rows = self.shared_statement(
-            |db| Ok(db.get_in(array_id, chunk_ids)?),
-            |rows| (rows.len(), rows.iter().map(|(_, v)| v.len()).sum()),
-        )?;
-        if rows.len() != chunk_ids.len() {
-            let got: std::collections::HashSet<u64> =
-                rows.iter().map(|(k, _)| k.chunk_id).collect();
-            let missing = chunk_ids.iter().find(|c| !got.contains(c));
-            if let Some(&chunk_id) = missing {
-                return Err(StorageError::MissingChunk { array_id, chunk_id });
-            }
-        }
-        rows.into_iter()
-            .map(|(k, v)| Ok((k.chunk_id, Self::decode_row(&v, array_id, k.chunk_id)?)))
-            .collect()
-    }
-
-    fn read_chunk_range(
-        &self,
-        array_id: u64,
-        lo: u64,
-        hi: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        let rows = self.shared_statement(
-            |db| Ok(db.get_range(array_id, lo, hi)?),
-            |rows| (rows.len(), rows.iter().map(|(_, v)| v.len()).sum()),
-        )?;
-        rows.into_iter()
-            .map(|(k, v)| Ok((k.chunk_id, Self::decode_row(&v, array_id, k.chunk_id)?)))
-            .collect()
-    }
+/// Drop the array id of single-array composite rows.
+fn chunk_rows(rows: CompositeRows) -> ChunkRows {
+    rows.into_iter().map(|((_, c), v)| (c, v)).collect()
 }
 
 impl ChunkStore for RelChunkStore {
@@ -1292,53 +1001,44 @@ impl ChunkStore for RelChunkStore {
         Ok(())
     }
 
-    fn get_chunk(&mut self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
-        let frame = self
-            .db
-            .get_mut()
-            .expect("db mutex")
-            .get(Key::new(array_id, chunk_id))?
-            .ok_or(StorageError::MissingChunk { array_id, chunk_id })?;
+    fn get_chunk(&self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
+        let frame = self.statement(
+            |db| db.get(Key::new(array_id, chunk_id)),
+            |v| v.as_ref().map_or((0, 0), |b| (1, b.len())),
+        )?;
+        let frame = frame.ok_or(StorageError::MissingChunk { array_id, chunk_id })?;
         Self::decode_row(&frame, array_id, chunk_id)
     }
 
-    fn get_chunks_in(
-        &mut self,
-        array_id: u64,
-        chunk_ids: &[u64],
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        let rows = self
-            .db
-            .get_mut()
-            .expect("db mutex")
-            .get_in(array_id, chunk_ids)?;
+    fn get_chunks_in(&self, array_id: u64, chunk_ids: &[u64]) -> Result<ChunkRows, StorageError> {
+        let rows = chunk_rows(self.rows_statement(|db| db.get_in(array_id, chunk_ids))?);
         if rows.len() != chunk_ids.len() {
-            let got: std::collections::HashSet<u64> =
-                rows.iter().map(|(k, _)| k.chunk_id).collect();
+            let got: std::collections::HashSet<u64> = rows.iter().map(|(c, _)| *c).collect();
             let missing = chunk_ids.iter().find(|c| !got.contains(c));
             if let Some(&chunk_id) = missing {
                 return Err(StorageError::MissingChunk { array_id, chunk_id });
             }
         }
-        rows.into_iter()
-            .map(|(k, v)| Ok((k.chunk_id, Self::decode_row(&v, array_id, k.chunk_id)?)))
-            .collect()
+        Ok(rows)
     }
 
-    fn get_chunk_range(
-        &mut self,
-        array_id: u64,
-        lo: u64,
-        hi: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        let rows = self
-            .db
-            .get_mut()
-            .expect("db mutex")
-            .get_range(array_id, lo, hi)?;
-        rows.into_iter()
-            .map(|(k, v)| Ok((k.chunk_id, Self::decode_row(&v, array_id, k.chunk_id)?)))
-            .collect()
+    fn get_chunk_range(&self, array_id: u64, lo: u64, hi: u64) -> Result<ChunkRows, StorageError> {
+        Ok(chunk_rows(
+            self.rows_statement(|db| db.get_range(array_id, lo, hi))?,
+        ))
+    }
+
+    fn get_composite_range(
+        &self,
+        lo: (u64, u64),
+        hi: (u64, u64),
+    ) -> Result<CompositeRows, StorageError> {
+        self.rows_statement(|db| db.get_key_range(Key::new(lo.0, lo.1), Key::new(hi.0, hi.1)))
+    }
+
+    fn get_composite_in(&self, keys: &[(u64, u64)]) -> Result<CompositeRows, StorageError> {
+        let db_keys: Vec<Key> = keys.iter().map(|&(a, c)| Key::new(a, c)).collect();
+        self.rows_statement(|db| db.get_keys(&db_keys))
     }
 
     fn delete_array(&mut self, array_id: u64, chunk_count: u64) -> Result<(), StorageError> {
@@ -1347,39 +1047,6 @@ impl ChunkStore for RelChunkStore {
             db.delete(Key::new(array_id, c))?;
         }
         Ok(())
-    }
-
-    fn get_composite_range(
-        &mut self,
-        lo: (u64, u64),
-        hi: (u64, u64),
-    ) -> Result<CompositeRows, StorageError> {
-        let rows = self
-            .db
-            .get_mut()
-            .expect("db mutex")
-            .get_key_range(Key::new(lo.0, lo.1), Key::new(hi.0, hi.1))?;
-        rows.into_iter()
-            .map(|(k, v)| {
-                Ok((
-                    (k.array_id, k.chunk_id),
-                    Self::decode_row(&v, k.array_id, k.chunk_id)?,
-                ))
-            })
-            .collect()
-    }
-
-    fn get_composite_in(&mut self, keys: &[(u64, u64)]) -> Result<CompositeRows, StorageError> {
-        let db_keys: Vec<Key> = keys.iter().map(|&(a, c)| Key::new(a, c)).collect();
-        let rows = self.db.get_mut().expect("db mutex").get_keys(&db_keys)?;
-        rows.into_iter()
-            .map(|(k, v)| {
-                Ok((
-                    (k.array_id, k.chunk_id),
-                    Self::decode_row(&v, k.array_id, k.chunk_id)?,
-                ))
-            })
-            .collect()
     }
 
     fn capabilities(&self) -> Capabilities {

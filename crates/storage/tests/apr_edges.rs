@@ -9,7 +9,7 @@
 
 use ssdm_array::NumArray;
 use ssdm_storage::spd::SpdOptions;
-use ssdm_storage::{ArrayStore, MemoryChunkStore, RetrievalStrategy};
+use ssdm_storage::{ArrayStore, MemoryChunkStore, ParallelConfig, RetrievalStrategy};
 
 #[test]
 fn spd_strides_crossing_chunk_boundaries_resolve_exactly() {
@@ -28,6 +28,7 @@ fn spd_strides_crossing_chunk_boundaries_resolve_exactly() {
                 RetrievalStrategy::SpdRange {
                     options: SpdOptions::default(),
                 },
+                ParallelConfig::SEQUENTIAL,
             )
             .unwrap()
             .elements()
@@ -59,6 +60,7 @@ fn spd_stride_across_2d_chunk_seams_matches_whole_array() {
             RetrievalStrategy::SpdRange {
                 options: SpdOptions::default(),
             },
+            ParallelConfig::SEQUENTIAL,
         )
         .unwrap()
         .elements()
@@ -66,7 +68,11 @@ fn spd_stride_across_2d_chunk_seams_matches_whole_array() {
         .map(|n| n.as_i64())
         .collect();
     let whole: Vec<i64> = store
-        .resolve(&col, RetrievalStrategy::WholeArray)
+        .resolve(
+            &col,
+            RetrievalStrategy::WholeArray,
+            ParallelConfig::SEQUENTIAL,
+        )
         .unwrap()
         .elements()
         .iter()
@@ -83,7 +89,11 @@ fn buffered_in_exact_multiple_has_no_empty_trailing_batch() {
     let mut store = ArrayStore::new(MemoryChunkStore::new());
     let base = store.store_array(&v, 64).unwrap(); // 8 elems/chunk, 16 chunks
     let got = store
-        .resolve(&base, RetrievalStrategy::BufferedIn { buffer_size: 4 })
+        .resolve(
+            &base,
+            RetrievalStrategy::BufferedIn { buffer_size: 4 },
+            ParallelConfig::SEQUENTIAL,
+        )
         .unwrap();
     assert_eq!(got.element_count(), 128);
     let stats = store.last_stats();
@@ -101,7 +111,11 @@ fn buffered_in_exact_multiple_under_various_buffers() {
         let mut store = ArrayStore::new(MemoryChunkStore::new());
         let base = store.store_array(&v, 64).unwrap(); // 12 chunks
         let got = store
-            .resolve(&base, RetrievalStrategy::BufferedIn { buffer_size })
+            .resolve(
+                &base,
+                RetrievalStrategy::BufferedIn { buffer_size },
+                ParallelConfig::SEQUENTIAL,
+            )
             .unwrap();
         assert_eq!(got.element_count(), 96);
         let stats = store.last_stats();

@@ -8,8 +8,8 @@
 
 use ssdm_array::NumArray;
 use ssdm_storage::{
-    ArrayStore, CachedChunkStore, ChunkStore, MemoryChunkStore, ResilientChunkStore,
-    RetrievalStrategy, RetryPolicy, SharedChunkRead,
+    ArrayStore, CachedChunkStore, ChunkStore, MemoryChunkStore, ParallelConfig,
+    ResilientChunkStore, RetrievalStrategy, RetryPolicy,
 };
 
 #[test]
@@ -38,8 +38,8 @@ fn delete_then_restore_same_id_serves_fresh_bytes() {
     for (_, data) in s.get_chunk_range(7, 0, 3).unwrap() {
         assert_eq!(data, vec![0xBB; 8]);
     }
-    // The shared-read path sees fresh bytes too.
-    assert_eq!(s.read_chunk(7, 3).unwrap(), vec![0xBB; 8]);
+    // A direct read sees fresh bytes too.
+    assert_eq!(s.get_chunk(7, 3).unwrap(), vec![0xBB; 8]);
 }
 
 #[test]
@@ -72,7 +72,11 @@ fn stale_chunks_never_survive_through_the_resilient_wrapper() {
     let id1 = p1.meta().array_id;
     // Read everything through the cache so every chunk is resident.
     let got: Vec<i64> = store
-        .resolve(&p1, RetrievalStrategy::WholeArray)
+        .resolve(
+            &p1,
+            RetrievalStrategy::WholeArray,
+            ParallelConfig::SEQUENTIAL,
+        )
         .unwrap()
         .elements()
         .iter()
@@ -113,11 +117,11 @@ fn shared_reads_fill_and_hit_the_same_cache() {
     s.put_chunk(1, 0, b"payload!").unwrap();
     s.cache().clear();
     s.reset_cache_stats();
-    // Fill via the shared path...
-    assert_eq!(s.read_chunk(1, 0).unwrap(), b"payload!");
-    // ...hit via the exclusive one, and vice versa.
+    // Fill via a point read...
     assert_eq!(s.get_chunk(1, 0).unwrap(), b"payload!");
-    assert_eq!(s.read_chunks_in(1, &[0]).unwrap().len(), 1);
+    // ...then hit via a point read and an IN-list.
+    assert_eq!(s.get_chunk(1, 0).unwrap(), b"payload!");
+    assert_eq!(s.get_chunks_in(1, &[0]).unwrap().len(), 1);
     let cs = s.cache_stats();
     assert_eq!((cs.hits, cs.misses), (2, 1));
     assert_eq!(s.io_stats().statements, 1);

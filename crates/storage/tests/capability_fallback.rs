@@ -3,25 +3,27 @@
 //! the `ChunkStore` default methods delegate per chunk — and the
 //! statement counts in `IoStats` must prove the downgrade happened.
 
+use std::sync::Mutex;
+
 use ssdm_array::NumArray;
 use ssdm_storage::spd::SpdOptions;
 use ssdm_storage::{
-    ArrayStore, Capabilities, ChunkStore, IoStats, MemoryChunkStore, RetrievalStrategy,
-    StorageError,
+    ArrayStore, Capabilities, ChunkStore, IoStats, MemoryChunkStore, ParallelConfig,
+    RetrievalStrategy, StorageError,
 };
 
 /// The most austere conforming back-end: single-chunk statements only,
 /// every batched entry point left to the trait defaults.
 struct SingleOnlyStore {
     inner: MemoryChunkStore,
-    stats: IoStats,
+    stats: Mutex<IoStats>,
 }
 
 impl SingleOnlyStore {
     fn new() -> Self {
         SingleOnlyStore {
             inner: MemoryChunkStore::new(),
-            stats: IoStats::default(),
+            stats: Mutex::default(),
         }
     }
 }
@@ -31,11 +33,12 @@ impl ChunkStore for SingleOnlyStore {
         self.inner.put_chunk(array_id, chunk_id, data)
     }
 
-    fn get_chunk(&mut self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
+    fn get_chunk(&self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
         let payload = self.inner.get_chunk(array_id, chunk_id)?;
-        self.stats.statements += 1;
-        self.stats.chunks_returned += 1;
-        self.stats.bytes_returned += payload.len() as u64;
+        let mut stats = self.stats.lock().unwrap();
+        stats.statements += 1;
+        stats.chunks_returned += 1;
+        stats.bytes_returned += payload.len() as u64;
         Ok(payload)
     }
 
@@ -53,11 +56,11 @@ impl ChunkStore for SingleOnlyStore {
     }
 
     fn io_stats(&self) -> IoStats {
-        self.stats
+        *self.stats.lock().unwrap()
     }
 
     fn reset_io_stats(&mut self) {
-        self.stats = IoStats::default();
+        *self.stats.get_mut().unwrap() = IoStats::default();
     }
 }
 
@@ -77,7 +80,7 @@ fn batched_plans_downgrade_to_per_chunk_statements() {
         let proxy = store.store_array(&m, 64).unwrap(); // 8 elems/chunk
         let col = proxy.subscript(1, 7).unwrap(); // touches 20 chunks
         let got: Vec<i64> = store
-            .resolve(&col, strategy)
+            .resolve(&col, strategy, ParallelConfig::SEQUENTIAL)
             .unwrap()
             .elements()
             .iter()
@@ -106,7 +109,11 @@ fn batched_plans_downgrade_to_per_chunk_statements() {
     let proxy = capable.store_array(&m, 64).unwrap();
     let col = proxy.subscript(1, 7).unwrap();
     capable
-        .resolve(&col, RetrievalStrategy::BufferedIn { buffer_size: 8 })
+        .resolve(
+            &col,
+            RetrievalStrategy::BufferedIn { buffer_size: 8 },
+            ParallelConfig::SEQUENTIAL,
+        )
         .unwrap();
     assert!(capable.last_stats().statements < capable.last_stats().chunks_fetched);
 }

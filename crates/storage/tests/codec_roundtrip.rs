@@ -9,8 +9,8 @@ use proptest::prelude::*;
 use ssdm_array::{Num, NumArray, NumericType};
 use ssdm_storage::codec::{decode_chunk, encode_chunk, summary_of};
 use ssdm_storage::{
-    ArrayStore, ChunkStore, CodecPolicy, MemoryChunkStore, ResilientChunkStore, RetrievalStrategy,
-    RetryPolicy, StorageError, ValuePredicate,
+    ArrayStore, ChunkStore, CodecPolicy, MemoryChunkStore, ParallelConfig, ResilientChunkStore,
+    RetrievalStrategy, RetryPolicy, StorageError, ValuePredicate,
 };
 
 const POLICIES: [CodecPolicy; 4] = [
@@ -122,7 +122,7 @@ proptest! {
             let mut store = ArrayStore::new(MemoryChunkStore::new());
             store.set_codec(policy);
             let proxy = store.store_array(&resident, chunk_elems * 8).unwrap();
-            let got = store.resolve(&proxy, RetrievalStrategy::WholeArray).unwrap();
+            let got = store.resolve(&proxy, RetrievalStrategy::WholeArray, ParallelConfig::SEQUENTIAL).unwrap();
             prop_assert!(got.array_eq(&resident), "policy {}", policy.name());
         }
     }
@@ -183,7 +183,11 @@ fn corrupt_frames_surface_as_typed_errors_through_resilient_store() {
 
     // Sanity: intact frames resolve.
     assert!(store
-        .resolve(&proxy, RetrievalStrategy::Single)
+        .resolve(
+            &proxy,
+            RetrievalStrategy::Single,
+            ParallelConfig::SEQUENTIAL
+        )
         .unwrap()
         .array_eq(&resident));
 
@@ -195,7 +199,11 @@ fn corrupt_frames_surface_as_typed_errors_through_resilient_store() {
         .put_chunk(array_id, 2, b"not a frame")
         .unwrap();
     let err = store
-        .resolve(&proxy, RetrievalStrategy::Single)
+        .resolve(
+            &proxy,
+            RetrievalStrategy::Single,
+            ParallelConfig::SEQUENTIAL,
+        )
         .expect_err("corrupt codec frame must not resolve");
     match &err {
         StorageError::Corrupt {
@@ -220,7 +228,11 @@ fn corrupt_frames_surface_as_typed_errors_through_resilient_store() {
     frame.truncate(frame.len() - 3);
     store.backend_mut().put_chunk(array_id, 3, &frame).unwrap();
     let err = store
-        .resolve(&proxy, RetrievalStrategy::Single)
+        .resolve(
+            &proxy,
+            RetrievalStrategy::Single,
+            ParallelConfig::SEQUENTIAL,
+        )
         .expect_err("truncated codec frame must not resolve");
     assert!(
         matches!(err, StorageError::Corrupt { chunk_id: 2, .. })
@@ -234,6 +246,7 @@ fn corrupt_frames_surface_as_typed_errors_through_resilient_store() {
             &proxy,
             ssdm_array::AggregateOp::Sum,
             RetrievalStrategy::Single,
+            ParallelConfig::SEQUENTIAL,
         )
         .expect_err("aggregate over corrupt chunk must fail");
     assert!(matches!(err, StorageError::Corrupt { .. }));

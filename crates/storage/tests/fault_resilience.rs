@@ -14,7 +14,8 @@ use ssdm_array::{AggregateOp, NumArray};
 use ssdm_storage::spd::SpdOptions;
 use ssdm_storage::{
     ArrayStore, ChunkStore, FaultInjectingChunkStore, FaultKind, FaultPlan, MemoryChunkStore,
-    OpKind, RawChunkAccess, ResilientChunkStore, RetrievalStrategy, RetryPolicy, StorageError,
+    OpKind, ParallelConfig, RawChunkAccess, ResilientChunkStore, RetrievalStrategy, RetryPolicy,
+    StorageError,
 };
 
 const ROWS: usize = 24;
@@ -50,10 +51,15 @@ fn run_battery<S: ChunkStore>(
             proxy.subscript(0, 3).unwrap(),
             proxy.slice(0, 2, 3, 19).unwrap(),
         ] {
-            let resolved = store.resolve(&view, strategy)?;
+            let resolved = store.resolve(&view, strategy, ParallelConfig::SEQUENTIAL)?;
             out.push(resolved.elements().iter().map(|n| n.as_i64()).collect());
         }
-        let sum = store.resolve_aggregate(proxy, AggregateOp::Sum, strategy)?;
+        let sum = store.resolve_aggregate(
+            proxy,
+            AggregateOp::Sum,
+            strategy,
+            ParallelConfig::SEQUENTIAL,
+        )?;
         out.push(vec![sum.as_i64()]);
     }
     Ok(out)
@@ -108,7 +114,11 @@ fn apr_stats_report_retries_under_faults() {
     let mut saw_retries = false;
     for _ in 0..10 {
         store
-            .resolve(&proxy, RetrievalStrategy::BufferedIn { buffer_size: 4 })
+            .resolve(
+                &proxy,
+                RetrievalStrategy::BufferedIn { buffer_size: 4 },
+                ParallelConfig::SEQUENTIAL,
+            )
             .unwrap();
         if store.last_stats().retries > 0 {
             saw_retries = true;
@@ -171,7 +181,11 @@ fn batched_statement_giveup_degrades_to_per_chunk_fallback() {
     };
     let probe_proxy = probe_store.store_array(&matrix(), CHUNK_BYTES).unwrap();
     let resolved = probe_store
-        .resolve(&probe_proxy, RetrievalStrategy::WholeArray)
+        .resolve(
+            &probe_proxy,
+            RetrievalStrategy::WholeArray,
+            ParallelConfig::SEQUENTIAL,
+        )
         .unwrap();
     assert_eq!(resolved.elements().len(), ROWS * COLS);
     let stats = probe_store.last_stats();
@@ -228,7 +242,11 @@ fn missing_chunk_faults_fail_fast_without_retries() {
     // Single strategy: the per-chunk statement has no batched fallback,
     // and MissingChunk is permanent — exactly one attempt, no pauses.
     let err = store
-        .resolve(&proxy, RetrievalStrategy::Single)
+        .resolve(
+            &proxy,
+            RetrievalStrategy::Single,
+            ParallelConfig::SEQUENTIAL,
+        )
         .unwrap_err();
     assert!(matches!(err, StorageError::MissingChunk { .. }));
     let res = store.backend().resilience_stats();

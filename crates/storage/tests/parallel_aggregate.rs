@@ -1,15 +1,17 @@
-//! Chunk-side parallel aggregation (`resolve_aggregate_parallel`) is
-//! **bit-identical** to sequential `resolve_aggregate` for every worker
-//! count, strategy, element type, and view shape: both paths fold each
-//! chunk's relevant elements with the same typed kernel and combine the
-//! per-chunk partials in plan order, so the fold tree never depends on
-//! scheduling.
+//! Chunk-side parallel aggregation (`resolve_aggregate` with several
+//! workers) is **bit-identical** to one worker for every worker count,
+//! strategy, element type, and view shape: every worker folds each
+//! chunk's relevant elements with the same typed kernel and the
+//! per-chunk partials combine in plan order, so the fold tree never
+//! depends on scheduling.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ssdm_array::{AggregateOp, Num, NumArray};
 use ssdm_storage::spd::SpdOptions;
 use ssdm_storage::{
     ArrayStore, Capabilities, ChunkStore, IoStats, MemoryChunkStore, ParallelConfig,
-    RetrievalStrategy, SharedChunkRead, StorageError,
+    RetrievalStrategy, StorageError,
 };
 
 fn real_matrix() -> NumArray {
@@ -70,10 +72,12 @@ fn parallel_aggregation_is_bit_identical() {
             let base = store.store_array(&array, 256).unwrap();
             for view in views(&base) {
                 for &op in OPS {
-                    let seq = store.resolve_aggregate(&view, op, strategy).unwrap();
+                    let seq = store
+                        .resolve_aggregate(&view, op, strategy, ParallelConfig::SEQUENTIAL)
+                        .unwrap();
                     for workers in [1, 2, 4] {
                         let par = store
-                            .resolve_aggregate_parallel(
+                            .resolve_aggregate(
                                 &view,
                                 op,
                                 strategy,
@@ -104,7 +108,7 @@ fn parallel_aggregation_matches_resident_for_int() {
     for &op in OPS {
         let resident = array.aggregate(op).unwrap();
         let streamed = store
-            .resolve_aggregate_parallel(
+            .resolve_aggregate(
                 &base,
                 op,
                 RetrievalStrategy::BufferedIn { buffer_size: 4 },
@@ -124,7 +128,7 @@ fn empty_views_and_count_take_no_fetches() {
     // Count needs no chunk payloads at all.
     store.backend_mut().reset_io_stats();
     let n = store
-        .resolve_aggregate_parallel(&base, AggregateOp::Count, RetrievalStrategy::Single, config)
+        .resolve_aggregate(&base, AggregateOp::Count, RetrievalStrategy::Single, config)
         .unwrap();
     assert_eq!(bits(&n), (true, (24 * 24) as u64));
     assert_eq!(store.backend().io_stats().statements, 0);
@@ -135,87 +139,98 @@ fn empty_views_and_count_take_no_fetches() {
     assert_eq!(
         bits(
             &store
-                .resolve_aggregate_parallel(
-                    &empty,
-                    AggregateOp::Sum,
-                    RetrievalStrategy::Single,
-                    config
-                )
+                .resolve_aggregate(&empty, AggregateOp::Sum, RetrievalStrategy::Single, config)
                 .unwrap()
         ),
         (true, 0)
     );
     assert!(store
-        .resolve_aggregate_parallel(&empty, AggregateOp::Min, RetrievalStrategy::Single, config)
+        .resolve_aggregate(&empty, AggregateOp::Min, RetrievalStrategy::Single, config)
         .is_err());
     assert!(store
-        .resolve_aggregate(&empty, AggregateOp::Min, RetrievalStrategy::Single)
+        .resolve_aggregate(
+            &empty,
+            AggregateOp::Min,
+            RetrievalStrategy::Single,
+            ParallelConfig::SEQUENTIAL
+        )
         .is_err());
 }
 
-/// A back-end that declares `supports_parallel: false`; any call on the
-/// shared-read path is a contract violation and panics.
-struct NoParallelStore(MemoryChunkStore);
+/// A back-end that declares `supports_parallel: false` and records the
+/// most reads it ever had in flight at once. Each read holds the store
+/// for a moment, so reads from concurrent workers would overlap.
+struct NoParallelStore {
+    inner: MemoryChunkStore,
+    in_flight: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+impl NoParallelStore {
+    fn new() -> Self {
+        NoParallelStore {
+            inner: MemoryChunkStore::new(),
+            in_flight: AtomicUsize::new(0),
+            peak: AtomicUsize::new(0),
+        }
+    }
+
+    fn peak(&self) -> usize {
+        self.peak.load(Ordering::SeqCst)
+    }
+}
 
 impl ChunkStore for NoParallelStore {
     fn put_chunk(&mut self, array_id: u64, chunk_id: u64, data: &[u8]) -> Result<(), StorageError> {
-        self.0.put_chunk(array_id, chunk_id, data)
+        self.inner.put_chunk(array_id, chunk_id, data)
     }
 
-    fn get_chunk(&mut self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
-        self.0.get_chunk(array_id, chunk_id)
+    // The batched reads default to loops over this one.
+    fn get_chunk(&self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
+        let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+        self.peak.fetch_max(now, Ordering::SeqCst);
+        std::thread::sleep(std::time::Duration::from_micros(200));
+        let out = self.inner.get_chunk(array_id, chunk_id);
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        out
     }
 
     fn delete_array(&mut self, array_id: u64, chunk_count: u64) -> Result<(), StorageError> {
-        self.0.delete_array(array_id, chunk_count)
+        self.inner.delete_array(array_id, chunk_count)
     }
 
     fn capabilities(&self) -> Capabilities {
         Capabilities {
             supports_parallel: false,
-            ..self.0.capabilities()
+            ..self.inner.capabilities()
         }
     }
 
     fn io_stats(&self) -> IoStats {
-        self.0.io_stats()
+        self.inner.io_stats()
     }
 
     fn reset_io_stats(&mut self) {
-        self.0.reset_io_stats()
-    }
-}
-
-impl SharedChunkRead for NoParallelStore {
-    fn read_chunk(&self, _: u64, _: u64) -> Result<Vec<u8>, StorageError> {
-        panic!("shared read on a supports_parallel: false back-end")
-    }
-
-    fn read_chunks_in(&self, _: u64, _: &[u64]) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        panic!("shared read on a supports_parallel: false back-end")
-    }
-
-    fn read_chunk_range(
-        &self,
-        _: u64,
-        _: u64,
-        _: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        panic!("shared read on a supports_parallel: false back-end")
+        self.inner.reset_io_stats()
     }
 }
 
 #[test]
 fn aggregate_degrades_on_unsupported_backends_and_one_worker() {
-    let mut store = ArrayStore::new(NoParallelStore(MemoryChunkStore::new()));
+    let mut store = ArrayStore::new(NoParallelStore::new());
     let base = store.store_array(&real_matrix(), 256).unwrap();
     let seq = store
-        .resolve_aggregate(&base, AggregateOp::Sum, RetrievalStrategy::Single)
+        .resolve_aggregate(
+            &base,
+            AggregateOp::Sum,
+            RetrievalStrategy::Single,
+            ParallelConfig::SEQUENTIAL,
+        )
         .unwrap();
-    // Capability gate: 4 workers requested, sequential path taken (the
-    // panicking SharedChunkRead impl proves the shared path is unused).
+    // Capability gate: 4 workers requested, yet the store never sees
+    // two reads at once.
     let gated = store
-        .resolve_aggregate_parallel(
+        .resolve_aggregate(
             &base,
             AggregateOp::Sum,
             RetrievalStrategy::Single,
@@ -223,15 +238,21 @@ fn aggregate_degrades_on_unsupported_backends_and_one_worker() {
         )
         .unwrap();
     assert_eq!(bits(&gated), bits(&seq));
+    assert_eq!(store.backend().peak(), 1, "reads overlapped");
 
     // workers == 1 degrades the same way on any back-end.
     let mut plain = ArrayStore::new(MemoryChunkStore::new());
     let base = plain.store_array(&real_matrix(), 256).unwrap();
     let seq = plain
-        .resolve_aggregate(&base, AggregateOp::Sum, RetrievalStrategy::Single)
+        .resolve_aggregate(
+            &base,
+            AggregateOp::Sum,
+            RetrievalStrategy::Single,
+            ParallelConfig::SEQUENTIAL,
+        )
         .unwrap();
     let one = plain
-        .resolve_aggregate_parallel(
+        .resolve_aggregate(
             &base,
             AggregateOp::Sum,
             RetrievalStrategy::Single,

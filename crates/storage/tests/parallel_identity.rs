@@ -1,13 +1,15 @@
-//! Tentpole acceptance: `resolve_parallel` is **bit-identical** to
-//! sequential `resolve` for every strategy, pattern, and worker count —
-//! and the APR statement accounting stays exact, because the same
-//! back-end statements execute, just concurrently.
+//! Tentpole acceptance: `resolve` with several workers is
+//! **bit-identical** to one worker for every strategy, pattern, and
+//! worker count — and the APR statement accounting stays exact, because
+//! the same back-end statements execute, just concurrently.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ssdm_array::NumArray;
 use ssdm_storage::spd::SpdOptions;
 use ssdm_storage::{
     ArrayStore, CachedChunkStore, Capabilities, ChunkStore, FaultInjectingChunkStore, FaultPlan,
-    IoStats, MemoryChunkStore, ParallelConfig, RetrievalStrategy, SharedChunkRead, StorageError,
+    IoStats, MemoryChunkStore, ParallelConfig, RetrievalStrategy, StorageError,
 };
 
 fn matrix() -> NumArray {
@@ -46,7 +48,9 @@ fn parallel_resolution_is_bit_identical_with_exact_stats() {
         let mut store = ArrayStore::new(MemoryChunkStore::new());
         let base = store.store_array(&matrix(), 256).unwrap();
         for view in views(&base) {
-            let seq = store.resolve(&view, strategy).unwrap();
+            let seq = store
+                .resolve(&view, strategy, ParallelConfig::SEQUENTIAL)
+                .unwrap();
             let seq_stats = store.last_stats();
             let seq_bits: Vec<u64> = seq
                 .elements()
@@ -55,7 +59,7 @@ fn parallel_resolution_is_bit_identical_with_exact_stats() {
                 .collect();
             for workers in [2, 4, 8] {
                 let par = store
-                    .resolve_parallel(&view, strategy, ParallelConfig::with_workers(workers))
+                    .resolve(&view, strategy, ParallelConfig::with_workers(workers))
                     .unwrap();
                 let par_bits: Vec<u64> = par
                     .elements()
@@ -89,12 +93,14 @@ fn parallel_through_the_cache_stays_identical() {
     let mut store = ArrayStore::new(CachedChunkStore::new(MemoryChunkStore::new(), 1 << 20));
     let base = store.store_array(&matrix(), 256).unwrap();
     let col = base.subscript(1, 9).unwrap();
-    let seq = store.resolve(&col, RetrievalStrategy::Single).unwrap();
+    let seq = store
+        .resolve(&col, RetrievalStrategy::Single, ParallelConfig::SEQUENTIAL)
+        .unwrap();
     // Repeat with warm cache and workers: identical bits, zero backend
     // statements.
     store.backend_mut().reset_io_stats();
     let par = store
-        .resolve_parallel(&col, RetrievalStrategy::Single, ParallelConfig::default())
+        .resolve(&col, RetrievalStrategy::Single, ParallelConfig::default())
         .unwrap();
     assert_eq!(par.elements(), seq.elements());
     assert_eq!(
@@ -105,76 +111,84 @@ fn parallel_through_the_cache_stays_identical() {
     assert!(store.backend().cache_stats().hit_rate() > 0.99);
 }
 
-/// A back-end that *could* serve shared reads but declares it must not
-/// (`supports_parallel: false`). Any call on the shared path is a
-/// contract violation and panics.
-struct NoParallelStore(MemoryChunkStore);
+/// A back-end that declares `supports_parallel: false` and records the
+/// most reads it ever had in flight at once. Each read holds the store
+/// for a moment, so reads from concurrent workers would overlap.
+struct NoParallelStore {
+    inner: MemoryChunkStore,
+    in_flight: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+impl NoParallelStore {
+    fn new() -> Self {
+        NoParallelStore {
+            inner: MemoryChunkStore::new(),
+            in_flight: AtomicUsize::new(0),
+            peak: AtomicUsize::new(0),
+        }
+    }
+
+    fn peak(&self) -> usize {
+        self.peak.load(Ordering::SeqCst)
+    }
+}
 
 impl ChunkStore for NoParallelStore {
     fn put_chunk(&mut self, array_id: u64, chunk_id: u64, data: &[u8]) -> Result<(), StorageError> {
-        self.0.put_chunk(array_id, chunk_id, data)
+        self.inner.put_chunk(array_id, chunk_id, data)
     }
 
-    fn get_chunk(&mut self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
-        self.0.get_chunk(array_id, chunk_id)
+    // The batched reads default to loops over this one.
+    fn get_chunk(&self, array_id: u64, chunk_id: u64) -> Result<Vec<u8>, StorageError> {
+        let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+        self.peak.fetch_max(now, Ordering::SeqCst);
+        std::thread::sleep(std::time::Duration::from_micros(200));
+        let out = self.inner.get_chunk(array_id, chunk_id);
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        out
     }
 
     fn delete_array(&mut self, array_id: u64, chunk_count: u64) -> Result<(), StorageError> {
-        self.0.delete_array(array_id, chunk_count)
+        self.inner.delete_array(array_id, chunk_count)
     }
 
     fn capabilities(&self) -> Capabilities {
         Capabilities {
             supports_parallel: false,
-            ..self.0.capabilities()
+            ..self.inner.capabilities()
         }
     }
 
     fn io_stats(&self) -> IoStats {
-        self.0.io_stats()
+        self.inner.io_stats()
     }
 
     fn reset_io_stats(&mut self) {
-        self.0.reset_io_stats()
-    }
-}
-
-impl SharedChunkRead for NoParallelStore {
-    fn read_chunk(&self, _: u64, _: u64) -> Result<Vec<u8>, StorageError> {
-        panic!("shared read on a supports_parallel: false back-end")
-    }
-
-    fn read_chunks_in(&self, _: u64, _: &[u64]) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        panic!("shared read on a supports_parallel: false back-end")
-    }
-
-    fn read_chunk_range(
-        &self,
-        _: u64,
-        _: u64,
-        _: u64,
-    ) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
-        panic!("shared read on a supports_parallel: false back-end")
+        self.inner.reset_io_stats()
     }
 }
 
 #[test]
 fn unsupported_backends_degrade_to_sequential() {
-    // resolve_parallel must honor the capability flag and take the
-    // sequential (&mut) path; the panicking SharedChunkRead impl proves
-    // the shared path is never touched.
-    let mut store = ArrayStore::new(NoParallelStore(MemoryChunkStore::new()));
+    // The executor must honor the capability flag: 4 workers requested,
+    // yet the store never sees two reads at once, and the answer equals
+    // the one-worker run.
+    let mut store = ArrayStore::new(NoParallelStore::new());
     let base = store.store_array(&matrix(), 256).unwrap();
     let col = base.subscript(1, 2).unwrap();
-    let seq = store.resolve(&col, RetrievalStrategy::Single).unwrap();
+    let seq = store
+        .resolve(&col, RetrievalStrategy::Single, ParallelConfig::SEQUENTIAL)
+        .unwrap();
     let par = store
-        .resolve_parallel(
+        .resolve(
             &col,
             RetrievalStrategy::Single,
             ParallelConfig::with_workers(4),
         )
         .unwrap();
     assert_eq!(seq.elements(), par.elements());
+    assert_eq!(store.backend().peak(), 1, "reads overlapped");
 }
 
 #[test]
@@ -195,9 +209,11 @@ fn one_worker_is_the_sequential_path() {
     let mut store = ArrayStore::new(MemoryChunkStore::new());
     let base = store.store_array(&matrix(), 256).unwrap();
     let view = base.subscript(1, 0).unwrap();
-    let seq = store.resolve(&view, RetrievalStrategy::Single).unwrap();
+    let seq = store
+        .resolve(&view, RetrievalStrategy::Single, ParallelConfig::SEQUENTIAL)
+        .unwrap();
     let one = store
-        .resolve_parallel(
+        .resolve(
             &view,
             RetrievalStrategy::Single,
             ParallelConfig::with_workers(1),

@@ -5,7 +5,8 @@
 use proptest::prelude::*;
 use ssdm_array::{AggregateOp, NumArray};
 use ssdm_storage::{
-    spd::SpdOptions, ArrayStore, ChunkStore, MemoryChunkStore, RelChunkStore, RetrievalStrategy,
+    spd::SpdOptions, ArrayStore, ChunkStore, MemoryChunkStore, ParallelConfig, RelChunkStore,
+    RetrievalStrategy,
 };
 
 #[derive(Debug, Clone)]
@@ -71,7 +72,9 @@ fn check<S: ChunkStore>(backend: S, sc: &Scenario) {
         RetrievalStrategy::WholeArray,
     ];
     for s in strategies {
-        let got = store.resolve(&view_proxy, s).unwrap();
+        let got = store
+            .resolve(&view_proxy, s, ParallelConfig::SEQUENTIAL)
+            .unwrap();
         assert!(
             got.array_eq(&view_resident),
             "strategy {} diverged: {got} vs {view_resident}",
@@ -79,7 +82,7 @@ fn check<S: ChunkStore>(backend: S, sc: &Scenario) {
         );
         if view_resident.element_count() > 0 {
             let agg = store
-                .resolve_aggregate(&view_proxy, AggregateOp::Sum, s)
+                .resolve_aggregate(&view_proxy, AggregateOp::Sum, s, ParallelConfig::SEQUENTIAL)
                 .unwrap();
             assert_eq!(agg, view_resident.sum().unwrap(), "sum via {}", s.name());
         }

@@ -19,8 +19,7 @@
 
 use ssdm_storage::shard::place;
 use ssdm_storage::{
-    ChunkStore, FaultPlan, MemoryChunkStore, ShardOptions, ShardedChunkStore, SharedChunkRead,
-    SharedChunkStore, StorageError,
+    ChunkStore, FaultPlan, MemoryChunkStore, ShardOptions, ShardedChunkStore, StorageError,
 };
 
 const ARRAY: u64 = 7;
@@ -42,8 +41,8 @@ fn baseline() -> MemoryChunkStore {
 }
 
 fn sharded(shards: usize, replicas: usize) -> ShardedChunkStore {
-    let primaries: Vec<Box<dyn SharedChunkStore>> = (0..shards)
-        .map(|_| Box::new(MemoryChunkStore::new()) as Box<dyn SharedChunkStore>)
+    let primaries: Vec<Box<dyn ChunkStore>> = (0..shards)
+        .map(|_| Box::new(MemoryChunkStore::new()) as Box<dyn ChunkStore>)
         .collect();
     let mut store = ShardedChunkStore::new(
         primaries,
@@ -86,22 +85,20 @@ fn shuffled_ids(seed: u64) -> Vec<u64> {
 /// baseline; any read error fails the drill.
 fn sweep(store: &ShardedChunkStore, expected: &MemoryChunkStore, seed: u64) {
     for &c in &shuffled_ids(seed) {
-        let got = store
-            .read_chunk(ARRAY, c)
-            .expect("point read must not fail");
+        let got = store.get_chunk(ARRAY, c).expect("point read must not fail");
         assert_eq!(got, payload(c), "chunk {c}");
     }
     let stride = 2 + (seed % 3);
     let ids: Vec<u64> = (0..CHUNKS).step_by(stride as usize).collect();
     let got = store
-        .read_chunks_in(ARRAY, &ids)
+        .get_chunks_in(ARRAY, &ids)
         .expect("IN-list read must not fail");
-    let want = expected.read_chunks_in(ARRAY, &ids).unwrap();
+    let want = expected.get_chunks_in(ARRAY, &ids).unwrap();
     assert_eq!(got, want, "IN-list, stride {stride}");
     let got = store
-        .read_chunk_range(ARRAY, 0, CHUNKS - 1)
+        .get_chunk_range(ARRAY, 0, CHUNKS - 1)
         .expect("range read must not fail");
-    let want = expected.read_chunk_range(ARRAY, 0, CHUNKS - 1).unwrap();
+    let want = expected.get_chunk_range(ARRAY, 0, CHUNKS - 1).unwrap();
     assert_eq!(got, want, "full range");
 }
 
@@ -171,28 +168,28 @@ fn dead_primary_without_replicas_is_typed_and_ranges_degrade() {
 
     // Point reads: owned by the dark shard -> typed error naming it;
     // owned by the live shard -> unaffected.
-    match store.read_chunk(ARRAY, on_dead[0]) {
+    match store.get_chunk(ARRAY, on_dead[0]) {
         Err(StorageError::ShardUnavailable { shards }) => assert_eq!(shards, vec![0]),
         other => panic!("expected ShardUnavailable, got {other:?}"),
     }
     assert_eq!(
-        store.read_chunk(ARRAY, on_live[0]).unwrap(),
+        store.get_chunk(ARRAY, on_live[0]).unwrap(),
         payload(on_live[0])
     );
 
     // IN-lists spanning both shards fail as a whole (partial IN results
     // would be silently wrong) and still name exactly the dark shard.
     let mixed: Vec<u64> = vec![on_dead[0], on_live[0], on_dead[1], on_live[1]];
-    match store.read_chunks_in(ARRAY, &mixed) {
+    match store.get_chunks_in(ARRAY, &mixed) {
         Err(StorageError::ShardUnavailable { shards }) => assert_eq!(shards, vec![0]),
         other => panic!("expected ShardUnavailable, got {other:?}"),
     }
 
     // Ranges degrade: the contract already skips missing chunks, so the
     // live shard's rows come back and the gap is counted, not hidden.
-    let got = store.read_chunk_range(ARRAY, 0, CHUNKS - 1).unwrap();
+    let got = store.get_chunk_range(ARRAY, 0, CHUNKS - 1).unwrap();
     let want: Vec<(u64, Vec<u8>)> = expected
-        .read_chunk_range(ARRAY, 0, CHUNKS - 1)
+        .get_chunk_range(ARRAY, 0, CHUNKS - 1)
         .unwrap()
         .into_iter()
         .filter(|(c, _)| place(ARRAY, *c, 2) == 1)
@@ -203,14 +200,11 @@ fn dead_primary_without_replicas_is_typed_and_ranges_degrade() {
     // Revival restores the full contract.
     store.revive_primary(0);
     assert_eq!(
-        store.read_chunk(ARRAY, on_dead[0]).unwrap(),
+        store.get_chunk(ARRAY, on_dead[0]).unwrap(),
         payload(on_dead[0])
     );
-    let got = store.read_chunk_range(ARRAY, 0, CHUNKS - 1).unwrap();
-    assert_eq!(
-        got,
-        expected.read_chunk_range(ARRAY, 0, CHUNKS - 1).unwrap()
-    );
+    let got = store.get_chunk_range(ARRAY, 0, CHUNKS - 1).unwrap();
+    assert_eq!(got, expected.get_chunk_range(ARRAY, 0, CHUNKS - 1).unwrap());
 }
 
 #[test]
@@ -228,7 +222,7 @@ fn full_shard_blackout_converges_to_typed_error() {
     // `ShardUnavailable`. No read may ever succeed.
     let mut typed = 0;
     for round in 0..12 {
-        match store.read_chunk(ARRAY, victim) {
+        match store.get_chunk(ARRAY, victim) {
             Ok(_) => panic!("round {round}: read succeeded on a blacked-out shard"),
             Err(StorageError::ShardUnavailable { shards }) => {
                 assert_eq!(shards, vec![dark]);
@@ -244,5 +238,5 @@ fn full_shard_blackout_converges_to_typed_error() {
 
     // Reads on other shards are untouched throughout.
     let other = (0..CHUNKS).find(|&c| place(ARRAY, c, 4) != dark).unwrap();
-    assert_eq!(store.read_chunk(ARRAY, other).unwrap(), payload(other));
+    assert_eq!(store.get_chunk(ARRAY, other).unwrap(), payload(other));
 }

@@ -1,17 +1,19 @@
 //! Differential tests for zone-map chunk skipping: with skipping
 //! enabled or disabled, every filtered resolution — scans, existence
-//! probes, sequential and parallel aggregates — must return
+//! probes, aggregates at one and several workers — must return
 //! bit-identical results, across every codec policy and back-end stack
-//! (plain memory, cached, resilient, sharded). Skipping is purely a
-//! plan transformation; only the I/O counters may differ, and on a
-//! chunk-selective predicate `chunks_skipped` must actually be
-//! positive, otherwise the optimisation is dead code.
+//! (plain memory, cached, resilient, sharded), and must match an
+//! independent oracle: the resident array filtered in memory and
+//! folded. Skipping is purely a plan transformation; only the I/O
+//! counters may differ, and on a chunk-selective predicate
+//! `chunks_skipped` must actually be positive, otherwise the
+//! optimisation is dead code.
 
 use ssdm_array::{AggregateOp, Num, NumArray};
 use ssdm_storage::{
     ArrayStore, CachedChunkStore, ChunkStore, CodecPolicy, MemoryChunkStore, ParallelConfig,
     ResilientChunkStore, RetrievalStrategy, RetryPolicy, ShardOptions, ShardedChunkStore,
-    SharedChunkRead, SharedChunkStore, ValuePredicate,
+    ValuePredicate,
 };
 
 const POLICIES: [CodecPolicy; 4] = [
@@ -57,6 +59,19 @@ fn bits_vec(v: &[Num]) -> Vec<(u8, u64)> {
     v.iter().map(|&n| bits(n)).collect()
 }
 
+/// The oracle for one filtered aggregate over the integer elements that
+/// matched, folded in memory: `None` where the storage layer must
+/// report an empty-view error.
+fn oracle_aggregate(matched: &[i64], op: AggregateOp) -> Option<Num> {
+    match op {
+        AggregateOp::Count => Some(Num::Int(matched.len() as i64)),
+        AggregateOp::Sum => Some(Num::Int(matched.iter().sum())),
+        AggregateOp::Min => matched.iter().min().map(|&v| Num::Int(v)),
+        AggregateOp::Max => matched.iter().max().map(|&v| Num::Int(v)),
+        other => unreachable!("no oracle for {other:?}"),
+    }
+}
+
 /// The predicates the matrix runs: a one-chunk range, a cross-chunk
 /// range, an empty range, and membership probes (hit and miss).
 fn predicates() -> Vec<(&'static str, ValuePredicate)> {
@@ -95,12 +110,18 @@ fn predicates() -> Vec<(&'static str, ValuePredicate)> {
 /// identical, independently written store.
 fn run_matrix<S, F>(make: F)
 where
-    S: ChunkStore + SharedChunkRead,
+    S: ChunkStore,
     F: Fn() -> ArrayStore<S>,
 {
     let resident = clustered_ints();
+    let values: Vec<i64> = resident.elements().iter().map(|n| n.as_i64()).collect();
     for policy in POLICIES {
         for (name, pred) in predicates() {
+            let matched: Vec<i64> = values
+                .iter()
+                .copied()
+                .filter(|&v| pred.matches(Num::Int(v)))
+                .collect();
             let mut on = make();
             let mut off = make();
             on.set_codec(policy);
@@ -115,8 +136,12 @@ where
                 RetrievalStrategy::BufferedIn { buffer_size: 4 },
                 RetrievalStrategy::WholeArray,
             ] {
-                let a = on.resolve_filtered(&p_on, &pred, strategy).unwrap();
-                let b = off.resolve_filtered(&p_off, &pred, strategy).unwrap();
+                let a = on
+                    .resolve_filtered(&p_on, &pred, strategy, ParallelConfig::SEQUENTIAL)
+                    .unwrap();
+                let b = off
+                    .resolve_filtered(&p_off, &pred, strategy, ParallelConfig::SEQUENTIAL)
+                    .unwrap();
                 assert_eq!(
                     bits_vec(&a),
                     bits_vec(&b),
@@ -126,9 +151,21 @@ where
                     strategy
                 );
                 assert_eq!(
-                    on.resolve_exists(&p_on, &pred, strategy).unwrap(),
-                    off.resolve_exists(&p_off, &pred, strategy).unwrap(),
+                    on.resolve_exists(&p_on, &pred, strategy, ParallelConfig::SEQUENTIAL)
+                        .unwrap(),
+                    off.resolve_exists(&p_off, &pred, strategy, ParallelConfig::SEQUENTIAL)
+                        .unwrap(),
                     "exists differs: {name}"
+                );
+                // The independent oracle: the resident array, filtered
+                // in memory and folded.
+                let oracle: Vec<Num> = matched.iter().map(|&v| Num::Int(v)).collect();
+                assert_eq!(bits_vec(&a), bits_vec(&oracle), "scan vs oracle: {name}");
+                assert_eq!(
+                    on.resolve_exists(&p_on, &pred, strategy, ParallelConfig::SEQUENTIAL)
+                        .unwrap(),
+                    !matched.is_empty(),
+                    "exists vs oracle: {name}"
                 );
                 for op in [
                     AggregateOp::Sum,
@@ -136,8 +173,26 @@ where
                     AggregateOp::Max,
                     AggregateOp::Count,
                 ] {
-                    let a = on.resolve_aggregate_filtered(&p_on, &pred, op, strategy);
-                    let b = off.resolve_aggregate_filtered(&p_off, &pred, op, strategy);
+                    let a = on.resolve_aggregate_filtered(
+                        &p_on,
+                        &pred,
+                        op,
+                        strategy,
+                        ParallelConfig::SEQUENTIAL,
+                    );
+                    let b = off.resolve_aggregate_filtered(
+                        &p_off,
+                        &pred,
+                        op,
+                        strategy,
+                        ParallelConfig::SEQUENTIAL,
+                    );
+                    assert_eq!(
+                        a.as_ref().ok().map(|&x| bits(x)),
+                        oracle_aggregate(&matched, op).map(bits),
+                        "aggregate {op:?} vs oracle: {name} / {}",
+                        policy.name()
+                    );
                     match (a, b) {
                         (Ok(x), Ok(y)) => assert_eq!(
                             bits(x),
@@ -151,14 +206,20 @@ where
                     // The parallel fold must agree with the sequential
                     // one bit-for-bit at every worker count.
                     for workers in [1usize, 4] {
-                        let par = on.resolve_aggregate_filtered_parallel(
+                        let par = on.resolve_aggregate_filtered(
                             &p_on,
                             &pred,
                             op,
                             strategy,
                             ParallelConfig { workers },
                         );
-                        let seq = off.resolve_aggregate_filtered(&p_off, &pred, op, strategy);
+                        let seq = off.resolve_aggregate_filtered(
+                            &p_off,
+                            &pred,
+                            op,
+                            strategy,
+                            ParallelConfig::SEQUENTIAL,
+                        );
                         match (par, seq) {
                             (Ok(x), Ok(y)) => assert_eq!(
                                 bits(x),
@@ -177,10 +238,20 @@ where
             // Selective predicates must actually skip with the zone map
             // on, and never with it off.
             let _ = on
-                .resolve_filtered(&p_on, &pred, RetrievalStrategy::Single)
+                .resolve_filtered(
+                    &p_on,
+                    &pred,
+                    RetrievalStrategy::Single,
+                    ParallelConfig::SEQUENTIAL,
+                )
                 .unwrap();
             let _ = off
-                .resolve_filtered(&p_off, &pred, RetrievalStrategy::Single)
+                .resolve_filtered(
+                    &p_off,
+                    &pred,
+                    RetrievalStrategy::Single,
+                    ParallelConfig::SEQUENTIAL,
+                )
                 .unwrap();
             assert!(
                 on.last_stats().chunks_skipped > 0,
@@ -220,8 +291,8 @@ fn resilient_store_skip_differential() {
 #[test]
 fn sharded_store_skip_differential() {
     run_matrix(|| {
-        let primaries: Vec<Box<dyn SharedChunkStore>> = (0..3)
-            .map(|_| Box::new(MemoryChunkStore::new()) as Box<dyn SharedChunkStore>)
+        let primaries: Vec<Box<dyn ChunkStore>> = (0..3)
+            .map(|_| Box::new(MemoryChunkStore::new()) as Box<dyn ChunkStore>)
             .collect();
         ArrayStore::new(ShardedChunkStore::new(primaries, ShardOptions::default()).unwrap())
     });
@@ -248,10 +319,20 @@ fn real_arrays_with_nans_prune_conservatively() {
         let p_on = on.store_array(&resident, 64 * 8).unwrap();
         let p_off = off.store_array(&resident, 64 * 8).unwrap();
         let a = on
-            .resolve_filtered(&p_on, &pred, RetrievalStrategy::Single)
+            .resolve_filtered(
+                &p_on,
+                &pred,
+                RetrievalStrategy::Single,
+                ParallelConfig::SEQUENTIAL,
+            )
             .unwrap();
         let b = off
-            .resolve_filtered(&p_off, &pred, RetrievalStrategy::Single)
+            .resolve_filtered(
+                &p_off,
+                &pred,
+                RetrievalStrategy::Single,
+                ParallelConfig::SEQUENTIAL,
+            )
             .unwrap();
         assert_eq!(bits_vec(&a), bits_vec(&b), "policy {}", policy.name());
         assert_eq!(a.len(), 63, "range covers one chunk minus its NaN");
